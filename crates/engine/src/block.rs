@@ -40,15 +40,29 @@ pub fn encode_records(records: &[Record], buf: &mut [u8]) {
 /// Panics if `buf` holds fewer than `count` records.
 #[must_use]
 pub fn decode_records(buf: &[u8], count: usize) -> Vec<Record> {
+    let mut out = Vec::with_capacity(count);
+    decode_into(buf, count, &mut out);
+    out
+}
+
+/// Decodes the first `count` records of an encoded block into `out`,
+/// replacing its contents and reusing its capacity.
+///
+/// # Panics
+///
+/// Panics if `buf` holds fewer than `count` records.
+pub(crate) fn decode_into(buf: &[u8], count: usize, out: &mut Vec<Record>) {
     assert!(buf.len() >= count * RECORD_BYTES, "buffer too small");
-    buf[..count * RECORD_BYTES]
-        .chunks_exact(RECORD_BYTES)
-        .map(|chunk| {
-            let key = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte key"));
-            let rid = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte rid"));
-            Record::new(key, rid)
-        })
-        .collect()
+    out.clear();
+    out.extend(
+        buf[..count * RECORD_BYTES]
+            .chunks_exact(RECORD_BYTES)
+            .map(|chunk| {
+                let key = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte key"));
+                let rid = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte rid"));
+                Record::new(key, rid)
+            }),
+    );
 }
 
 #[cfg(test)]
@@ -63,5 +77,15 @@ mod tests {
         assert_eq!(decode_records(&buf, 7), records);
         // The tail past the encoded records is zeroed.
         assert!(buf[7 * RECORD_BYTES..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn decode_into_replaces_the_buffer_contents() {
+        let records: Vec<Record> = (0..5).map(|i| Record::new(i, i + 1)).collect();
+        let mut buf = vec![0u8; block_bytes(5)];
+        encode_records(&records, &mut buf);
+        let mut out = vec![Record::new(99, 99); 9];
+        decode_into(&buf, 3, &mut out);
+        assert_eq!(out, records[..3]);
     }
 }

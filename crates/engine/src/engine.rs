@@ -34,7 +34,7 @@
 //! scores against the cylinder of the *last submitted* block per disk,
 //! which can diverge from the simulator's serviced-head position).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use pm_cache::{AdmissionPolicy, BlockCache, PrefetchGroup, RunId};
@@ -49,7 +49,7 @@ use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimRng, SimTime};
 use pm_trace::{pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, RecordingSink, TraceEvent, TraceSink};
 
-use crate::block::{block_bytes, decode_records, encode_records};
+use crate::block::{block_bytes, decode_into, encode_records};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 use crate::shared::SharedPort;
 
@@ -95,7 +95,8 @@ impl ExecConfig {
 pub struct ExecReport {
     /// Wall-clock duration of the merge (initial load to last record).
     pub wall: Duration,
-    /// Merge-thread time spent blocked on block arrivals.
+    /// Merge-thread time blocked in the I/O queue (submission
+    /// backpressure plus waiting for arrivals).
     pub stall: Duration,
     /// Blocks merged (equals the scenario's total).
     pub blocks_merged: u64,
@@ -486,6 +487,20 @@ enum Gate {
 
 const DEAD: usize = usize::MAX;
 
+/// The merge's read position in a run's current block.
+struct Cursor {
+    block: Vec<Record>,
+    pos: usize,
+}
+
+impl Cursor {
+    fn next(&mut self) -> Option<Record> {
+        let rec = *self.block.get(self.pos)?;
+        self.pos += 1;
+        Some(rec)
+    }
+}
+
 struct ExecState<'a, M: MetricsSink> {
     plan: &'a MergeEngine,
     port: Box<dyn IoQueue>,
@@ -512,9 +527,24 @@ struct ExecState<'a, M: MetricsSink> {
     fetchable_pos: Vec<usize>,
     current_depth: u32,
     gate: Option<Gate>,
-    /// Arrived, not-yet-consumed block payloads per run, keyed by block
-    /// index (striped layouts deliver out of index order).
-    store: Vec<BTreeMap<u32, Vec<Record>>>,
+    /// Arrived, not-yet-consumed block payloads per run: slot `i` holds
+    /// block `slot_base + i` once it arrives (striped layouts deliver
+    /// out of index order, so a slot may wait while later ones fill).
+    slots: Vec<VecDeque<Option<Vec<Record>>>>,
+    /// Per run, the block index of its first slot: the next block
+    /// [`ExecState::take_block`] hands out.
+    slot_base: Vec<u32>,
+    /// Record buffers of consumed blocks, recycled for decoding.
+    spare: Vec<Vec<Record>>,
+    /// Scratch for [`ExecState::issue_inter_run`]: the operation's
+    /// groups, what the admission policy accepted, and one disk's
+    /// capped candidate list.
+    groups: Vec<PrefetchGroup>,
+    admitted: Vec<PrefetchGroup>,
+    candidates: Vec<RunId>,
+    /// Scratch for [`ExecState::flush_submissions`]: requests per disk
+    /// in the batch (metered runs only).
+    submit_counts: Vec<u64>,
     /// Shadow head position per disk: the cylinder of the last
     /// *submitted* block (head-proximity scoring).
     head_cyl: Vec<Cylinder>,
@@ -589,7 +619,13 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             fetchable_pos,
             current_depth: merge.strategy.depth(),
             gate: None,
-            store: vec![BTreeMap::new(); k],
+            slots: (0..k).map(|_| VecDeque::new()).collect(),
+            slot_base: vec![0; k],
+            spare: Vec::new(),
+            groups: Vec::with_capacity(d + 1),
+            admitted: Vec::with_capacity(d + 1),
+            candidates: Vec::new(),
+            submit_counts: vec![0; d],
             head_cyl: vec![Cylinder(0); d],
             spans: vec![0; d],
             sink: RecordingSink::unbounded(),
@@ -616,22 +652,25 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         self.initial_load()?;
 
         // Build the loser tree from every run's leading block.
-        let mut cursors: Vec<std::vec::IntoIter<Record>> = Vec::with_capacity(k);
+        let mut cursors: Vec<Cursor> = Vec::with_capacity(k);
         for r in 0..k {
-            cursors.push(self.take_block(RunId(r as u32))?.into_iter());
+            let block = self.take_block(RunId(r as u32))?;
+            cursors.push(Cursor { block, pos: 0 });
         }
-        let heads: Vec<Option<Record>> = cursors.iter_mut().map(Iterator::next).collect();
+        let heads: Vec<Option<Record>> = cursors.iter_mut().map(Cursor::next).collect();
         let mut tree = LoserTree::new(heads);
 
         let total_records: usize = self.plan.run_records.iter().sum();
         let mut output = Vec::with_capacity(total_records);
         while let Some((src, _)) = tree.winner() {
-            let next = match cursors[src].next() {
+            let cursor = &mut cursors[src];
+            let next = match cursor.next() {
                 Some(rec) => Some(rec),
                 None => match self.advance_run(RunId(src as u32))? {
                     Some(block) => {
-                        cursors[src] = block.into_iter();
-                        cursors[src].next()
+                        self.spare.push(std::mem::replace(&mut cursor.block, block));
+                        cursor.pos = 0;
+                        cursor.next()
                     }
                     None => None,
                 },
@@ -797,11 +836,11 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             self.inflight[r.req.disk.0 as usize] += 1;
         }
         if M::ENABLED {
-            let mut counts = vec![0u64; self.inflight.len()];
+            self.submit_counts.fill(0);
             for r in &self.stage {
-                counts[r.req.disk.0 as usize] += 1;
+                self.submit_counts[r.req.disk.0 as usize] += 1;
             }
-            for (d, &n) in counts.iter().enumerate() {
+            for (d, &n) in self.submit_counts.iter().enumerate() {
                 if n > 0 {
                     self.metrics.io_submit_batch(d, n);
                     self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
@@ -809,9 +848,11 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             }
         }
         let n = self.stage.len();
+        let blocked = Instant::now();
         self.port.submit(&self.stage).map_err(|e| {
             PmError::device(self.backend, format!("submitting a batch of {n} reads"), e)
         })?;
+        self.stall += blocked.elapsed();
         self.stage.clear();
         Ok(())
     }
@@ -823,8 +864,8 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         let merge = self.plan.merge;
         let depth = self.current_depth;
         let demand_disk = self.plan.layout.placement(j).disk;
-        let mut groups: Vec<PrefetchGroup> = Vec::with_capacity(merge.disks as usize + 1);
-        let mut candidate_buf: Vec<RunId> = Vec::new();
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.clear();
         groups.push(PrefetchGroup {
             run: j,
             blocks: demand_blocks,
@@ -837,14 +878,14 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             let candidates: &[RunId] = match merge.per_run_cap {
                 None => &self.fetchable[d as usize],
                 Some(cap) => {
-                    candidate_buf.clear();
-                    candidate_buf.extend(
+                    self.candidates.clear();
+                    self.candidates.extend(
                         self.fetchable[d as usize]
                             .iter()
                             .copied()
                             .filter(|&r| self.cache.held(r) < cap),
                     );
-                    &candidate_buf
+                    &self.candidates
                 }
             };
             if candidates.is_empty() {
@@ -884,7 +925,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         if merge.admission == AdmissionPolicy::Greedy && groups.len() > 2 {
             self.rng.shuffle(&mut groups[1..]);
         }
-        let mut admitted: Vec<PrefetchGroup> = Vec::with_capacity(groups.len());
+        let mut admitted = std::mem::take(&mut self.admitted);
         let now = self.now();
         let full = merge.admission.admit_into_traced(
             &mut self.cache,
@@ -903,7 +944,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                 (self.current_depth / 2).max(n_min)
             };
         }
-        if admitted.is_empty() {
+        let issued = if admitted.is_empty() {
             self.fallback_ops += 1;
             self.cache.reserve(j, 1);
             let start = self.runs[j.0 as usize].next_fetch;
@@ -917,7 +958,10 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                 issued += g.blocks;
             }
             issued
-        }
+        };
+        self.groups = groups;
+        self.admitted = admitted;
+        issued
     }
 
     /// Stages `count` single-block requests for the next flush and
@@ -999,9 +1043,12 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     /// needed (striped layouts deliver a run's blocks out of index
     /// order, so this can wait past the gate).
     fn take_block(&mut self, j: RunId) -> Result<Vec<Record>, PmError> {
-        let index = self.runs[j.0 as usize].depleted;
+        let r = j.0 as usize;
+        debug_assert_eq!(self.slot_base[r], self.runs[r].depleted);
         loop {
-            if let Some(block) = self.store[j.0 as usize].remove(&index) {
+            if let Some(block) = self.slots[r].front_mut().and_then(Option::take) {
+                self.slots[r].pop_front();
+                self.slot_base[r] += 1;
                 return Ok(block);
             }
             self.await_arrival()?;
@@ -1093,9 +1140,19 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             },
         });
         let count = self.records_in_block(run, index);
-        let records = decode_records(&data, count);
+        let mut records = self.spare.pop().unwrap_or_default();
+        decode_into(&data, count, &mut records);
         self.cache.block_arrived(RunId(run));
-        self.store[run as usize].insert(index, records);
+        let slot = (index - self.slot_base[run as usize]) as usize;
+        let ring = &mut self.slots[run as usize];
+        if ring.len() <= slot {
+            ring.resize_with(slot + 1, || None);
+        }
+        debug_assert!(
+            ring[slot].is_none(),
+            "block {index} of run {run} arrived twice"
+        );
+        ring[slot] = Some(records);
         Ok(RunId(run))
     }
 

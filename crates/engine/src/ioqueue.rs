@@ -4,16 +4,15 @@
 //! block out, synchronously), `IoQueue` is the *I/O path* the engine
 //! drives: requests are submitted in batches, completions are reaped in
 //! batches, and up to [`IoQueue::depth`] requests per disk may be in
-//! flight at once. Four implementations exist:
+//! flight at once. Three implementations exist:
 //!
-//! * [`crate::ThreadedQueue`] — per-disk worker threads over any
-//!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency).
+//! * [`crate::ThreadedQueue`] — worker threads over any
+//!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency),
+//!   handing requests and completions across in batches.
 //! * [`crate::SharedPort`] — one job's lane into a
 //!   [`crate::SharedDeviceSet`], contended with other jobs.
 //! * `UringQueue` (feature `uring`) — one io_uring per disk file with
 //!   `O_DIRECT` and registered buffers.
-//! * [`BlockingQueue`] — the deprecated depth-1 compat shim over a bare
-//!   [`crate::BlockDevice`].
 //!
 //! ## Trait contract
 //!
@@ -44,14 +43,12 @@
 //! [`pm_core::PmError::Device`] with the backend's
 //! [`IoQueue::backend`] label and exit code 2.
 
-use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
 
 use pm_disk::{BlockAddr, DiskId, DiskRequest};
 
-use crate::device::{BlockDevice, InjectedService};
-use crate::workers::service_one;
+use crate::device::InjectedService;
 
 /// One read request submitted to an [`IoQueue`].
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +92,9 @@ pub struct IoCompletion {
 #[derive(Debug, Clone, Copy)]
 pub struct QueueOptions {
     /// Per-disk bound on in-flight requests (submission backpressure;
-    /// ring depth on io_uring). `0` behaves as `1`.
+    /// ring depth on io_uring). On [`crate::ThreadedQueue`] it bounds
+    /// the requests waiting in a worker's queue, `depth` per disk the
+    /// worker serves, whatever `jobs` is. `0` behaves as `1`.
     pub depth: usize,
     /// Worker threads for threaded backends (`0` = one per disk).
     pub jobs: usize,
@@ -173,157 +172,4 @@ pub trait IoQueue: Send {
     ///
     /// Any failure tearing the transport down.
     fn shutdown(&mut self) -> io::Result<()>;
-}
-
-/// Depth-1 compat shim: any [`BlockDevice`] as an [`IoQueue`] that
-/// services every request synchronously at submission.
-///
-/// This is the old `read_block` calling convention behind the new API —
-/// kept for one release so downstream device implementations keep
-/// working, and as the regression reference the depth-1 equivalence
-/// tests compare against.
-#[deprecated(
-    since = "0.11.0",
-    note = "depth-1 shim over BlockDevice; build a ThreadedQueue (or UringQueue) instead"
-)]
-pub struct BlockingQueue<D> {
-    device: D,
-    time_scale: f64,
-    epoch: Instant,
-    free_at: Vec<Instant>,
-    pending: VecDeque<IoCompletion>,
-}
-
-#[allow(deprecated)]
-impl<D: BlockDevice> BlockingQueue<D> {
-    /// Wraps `device`, servicing at real speed (`time_scale` 1.0).
-    #[must_use]
-    pub fn new(device: D) -> Self {
-        Self::with_time_scale(device, 1.0)
-    }
-
-    /// Wraps `device` with a wall-clock scale for injected latency.
-    #[must_use]
-    pub fn with_time_scale(device: D, time_scale: f64) -> Self {
-        let epoch = Instant::now();
-        let disks = device.disks();
-        BlockingQueue {
-            device,
-            time_scale,
-            epoch,
-            free_at: vec![epoch; disks],
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Unwraps the device.
-    pub fn into_inner(self) -> D {
-        self.device
-    }
-}
-
-#[allow(deprecated)]
-impl<D: BlockDevice> IoQueue for BlockingQueue<D> {
-    fn backend(&self) -> &'static str {
-        "blocking"
-    }
-
-    fn block_bytes(&self) -> usize {
-        self.device.block_bytes()
-    }
-
-    fn disks(&self) -> usize {
-        self.device.disks()
-    }
-
-    fn depth(&self) -> usize {
-        1
-    }
-
-    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
-        self.device.write_block(disk, start, data)
-    }
-
-    fn open(&mut self, epoch: Instant) -> io::Result<()> {
-        self.epoch = epoch;
-        self.free_at = vec![epoch; self.device.disks()];
-        Ok(())
-    }
-
-    fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
-        for &req in reqs {
-            let d = req.req.disk.0 as usize;
-            let free_at = self
-                .free_at
-                .get_mut(d)
-                .ok_or_else(|| io::Error::other(format!("no such disk {d}")))?;
-            let completion = service_one(&self.device, free_at, req, self.time_scale, self.epoch);
-            self.pending.push_back(completion);
-        }
-        Ok(())
-    }
-
-    fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
-        if self.pending.len() < min_wait {
-            return Err(io::Error::other(format!(
-                "waiting for {min_wait} completions with only {} in flight",
-                self.pending.len()
-            )));
-        }
-        let n = self.pending.len();
-        out.extend(self.pending.drain(..));
-        Ok(n)
-    }
-
-    fn shutdown(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::device::MemoryDevice;
-
-    #[test]
-    fn blocking_queue_round_trips_a_batch() {
-        let bb = 16;
-        let mut dev = MemoryDevice::new(2, bb);
-        for d in 0..2u16 {
-            dev.write_block(DiskId(d), BlockAddr(0), &[d as u8 + 1; 16]).unwrap();
-        }
-        let mut q = BlockingQueue::new(dev);
-        q.open(Instant::now()).unwrap();
-        let reqs: Vec<IoRequest> = (0..2u16)
-            .map(|d| IoRequest {
-                req: DiskRequest {
-                    disk: DiskId(d),
-                    start: BlockAddr(0),
-                    len: 1,
-                    sequential_hint: false,
-                    tag: u64::from(d),
-                },
-                span: 0,
-                submitted: Instant::now(),
-            })
-            .collect();
-        q.submit(&reqs).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(q.complete(&mut out, 2).unwrap(), 2);
-        for c in &out {
-            let data = c.data.as_ref().unwrap();
-            assert_eq!(data[0], c.disk as u8 + 1);
-        }
-        q.shutdown().unwrap();
-    }
-
-    #[test]
-    fn blocking_queue_rejects_waiting_on_nothing() {
-        let mut q = BlockingQueue::new(MemoryDevice::new(1, 16));
-        let mut out = Vec::new();
-        assert!(q.complete(&mut out, 1).is_err());
-        assert_eq!(q.complete(&mut out, 0).unwrap(), 0);
-    }
 }

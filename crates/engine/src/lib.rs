@@ -10,19 +10,18 @@
 //! The engine talks to storage through the [`IoQueue`] trait (batched
 //! submit/complete, explicit open and depth negotiation). Queues:
 //!
-//! * [`ThreadedQueue`] — per-disk worker threads over any
+//! * [`ThreadedQueue`] — worker threads over any
 //!   [`BlockDevice`]: [`MemoryDevice`] (the golden reference),
 //!   [`FileDevice`] (buffered or `O_DIRECT` files; tmpfs for smoke
 //!   tests, real disks for real measurements), or [`LatencyDevice`]
 //!   (injects the pm-disk seek/rotation model's deterministic service
 //!   time, for cross-validation via [`MergeEngine::predict`]).
+//!   Requests and completions cross the thread boundary in batches.
 //! * `UringQueue` (feature `uring`, Linux) — one io_uring per disk file
 //!   with `O_DIRECT` and registered buffers, completing out of order at
 //!   queue depth > 1.
 //! * [`SharedPort`] — one job's lane into a [`SharedDeviceSet`],
 //!   scheduled against other jobs by a [`pm_service::IoSched`] policy.
-//! * [`BlockingQueue`] — deprecated depth-1 shim over a bare
-//!   [`BlockDevice`], the pre-queue calling convention.
 //!
 //! ```
 //! use pm_core::ScenarioBuilder;
@@ -67,8 +66,6 @@ pub use device::{
 pub use engine::{
     disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, ExecReport, MergeEngine,
 };
-#[allow(deprecated)]
-pub use ioqueue::BlockingQueue;
 pub use ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 pub use multipass::{
     clean_stale_passes, MultiPassExecutor, MultiPassOptions, MultiPassOutcome,

@@ -4,16 +4,31 @@
 //! Each worker owns one bounded FIFO request queue and services one or
 //! more disks (`disk → disk mod workers`); with the default of one
 //! worker per disk every disk has a dedicated thread, exactly one
-//! request in service at a time, and per-disk FIFO order. Submission
-//! blocks when the worker's queue is full (bounded-queue backpressure
-//! on the merge thread, sized by [`QueueOptions::depth`]); completions
-//! flow back over one unbounded queue the merge thread reaps in
-//! batches.
+//! request in service at a time, and per-disk FIFO order.
+//!
+//! The handoff is batched in both directions. [`IoQueue::submit`] moves
+//! each worker's share of the slice into its queue under one lock and
+//! one wake-up; a worker drains its whole queue at each wake-up and
+//! services the drained requests in FIFO order; completions go back
+//! over one unbounded [`Channel`] as one batch when the drained batch
+//! ends, and the merge thread reaps everything queued in one pop. A
+//! completion with modeled latency ([`IoCompletion::injected`]) is
+//! published at once instead, before the next service begins, so the
+//! merge thread sees it exactly when the modeled disk finishes it.
+//!
+//! Submission blocks while a worker's queue is full (bounded-queue
+//! backpressure on the merge thread). The bound counts the requests
+//! *waiting* in a worker's queue, not the batch the worker has already
+//! drained, and is [`QueueOptions::depth`] per disk the worker serves:
+//! a worker over `k` disks queues up to `depth × k` requests, so the
+//! per-disk bound is the same at any `jobs`. The request queues share
+//! one lock, so a blocked submission waits for room on *any* queue and
+//! fills it; a full worker never holds back the others' requests.
 
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pm_core::PmError;
@@ -27,82 +42,186 @@ struct ChannelInner<T> {
     closed: bool,
 }
 
-/// A minimal Mutex+Condvar MPSC channel with an optional capacity bound.
+/// A minimal Mutex+Condvar MPSC channel, unbounded, that moves items in
+/// batches: a producer hands over a whole run of items under one lock
+/// and one wake-up, and the consumer takes everything queued at once.
 pub(crate) struct Channel<T> {
     inner: Mutex<ChannelInner<T>>,
-    capacity: usize,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl<T> Channel<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Channel {
             inner: Mutex::new(ChannelInner {
                 items: VecDeque::new(),
                 closed: false,
             }),
-            capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
     }
 
-    /// Blocks while the channel is full. Pushes are lost after `close`.
-    pub(crate) fn push(&self, item: T) {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        while inner.items.len() >= self.capacity && !inner.closed {
-            inner = self.not_full.wait(inner).expect("channel poisoned");
+    fn lock(&self) -> MutexGuard<'_, ChannelInner<T>> {
+        self.inner.lock().expect("channel poisoned")
+    }
+
+    /// Moves `items` into the channel in order. Items are lost after
+    /// `close`.
+    pub(crate) fn push_all<I>(&self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        if items.len() == 0 {
+            return;
         }
+        let mut inner = self.lock();
         if inner.closed {
             return;
         }
-        inner.items.push_back(item);
+        inner.items.extend(items);
         self.not_empty.notify_one();
     }
 
-    /// Blocks until an item is available; `None` once closed and drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
+    /// Blocks until at least one item is queued, then appends every
+    /// queued item to `out`. `false` once closed and drained.
+    pub(crate) fn pop_all(&self, out: &mut Vec<T>) -> bool {
+        let mut inner = self.lock();
+        while inner.items.is_empty() {
             if inner.closed {
-                return None;
+                return false;
             }
             inner = self.not_empty.wait(inner).expect("channel poisoned");
         }
+        out.extend(inner.items.drain(..));
+        true
     }
 
-    /// Takes an item only if one is already available.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        let item = inner.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
+    /// Appends every item already queued to `out` without blocking.
+    pub(crate) fn try_pop_all(&self, out: &mut Vec<T>) {
+        out.extend(self.lock().items.drain(..));
+    }
+
+    /// The [`IoQueue::complete`] reap: appends items to `out` until at
+    /// least `min` were appended (`0` polls), plus everything else
+    /// already queued, and returns how many. `None` if the channel
+    /// closes first.
+    pub(crate) fn reap(&self, out: &mut Vec<T>, min: usize) -> Option<usize> {
+        let before = out.len();
+        if min == 0 {
+            self.try_pop_all(out);
         }
-        item
+        while out.len() - before < min {
+            if !self.pop_all(out) {
+                return None;
+            }
+        }
+        Some(out.len() - before)
     }
 
     pub(crate) fn close(&self) {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        inner.closed = true;
+        self.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
+    }
+}
+
+/// The workers' bounded request queues, under one lock so that
+/// [`IoQueue::submit`] can wait for room on any of them: a full worker
+/// never holds back the requests of the others.
+struct Requests {
+    state: Mutex<RequestsState>,
+    /// Requests each worker's queue may hold: `depth` per disk it serves.
+    capacity: Vec<usize>,
+    /// One per worker, signalled when its queue gets requests.
+    ready: Vec<Condvar>,
+    /// Signalled when a worker takes its queue, making room.
+    room: Condvar,
+}
+
+struct RequestsState {
+    queues: Vec<VecDeque<IoRequest>>,
+    closed: bool,
+}
+
+impl Requests {
+    fn new(capacity: Vec<usize>) -> Self {
+        let workers = capacity.len();
+        Requests {
+            state: Mutex::new(RequestsState {
+                queues: (0..workers).map(|_| VecDeque::new()).collect(),
+                closed: false,
+            }),
+            capacity,
+            ready: (0..workers).map(|_| Condvar::new()).collect(),
+            room: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RequestsState> {
+        self.state.lock().expect("request queues poisoned")
+    }
+
+    /// Moves every worker's share into its queue, front first, blocking
+    /// only while no worker with requests left has room. Shares are
+    /// left empty; requests are lost after `close`.
+    fn submit(&self, shares: &mut [Vec<IoRequest>]) {
+        let mut state = self.lock();
+        loop {
+            let mut left = false;
+            for (w, share) in shares.iter_mut().enumerate() {
+                let queue = &mut state.queues[w];
+                let n = self.capacity[w]
+                    .saturating_sub(queue.len())
+                    .min(share.len());
+                if n > 0 {
+                    queue.extend(share.drain(..n));
+                    self.ready[w].notify_one();
+                }
+                left |= !share.is_empty();
+            }
+            if !left || state.closed {
+                shares.iter_mut().for_each(Vec::clear);
+                return;
+            }
+            state = self.room.wait(state).expect("request queues poisoned");
+        }
+    }
+
+    /// Blocks until worker `w` has requests, then appends all of them to
+    /// `out`. `false` once closed and drained.
+    fn take(&self, w: usize, out: &mut Vec<IoRequest>) -> bool {
+        let mut state = self.lock();
+        while state.queues[w].is_empty() {
+            if state.closed {
+                return false;
+            }
+            state = self.ready[w].wait(state).expect("request queues poisoned");
+        }
+        out.extend(state.queues[w].drain(..));
+        self.room.notify_one();
+        true
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.iter().for_each(Condvar::notify_all);
+        self.room.notify_all();
     }
 }
 
 struct Running {
-    queues: Vec<Arc<Channel<IoRequest>>>,
+    requests: Arc<Requests>,
+    /// Per-worker submission scratch: `submit` splits its slice here.
+    shares: Vec<Vec<IoRequest>>,
     completions: Arc<Channel<IoCompletion>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// The threaded [`IoQueue`]: `min(jobs, disks)` worker threads (or one
 /// per disk when `jobs == 0`) over any [`BlockDevice`], each worker with
-/// its own request queue bounded to [`QueueOptions::depth`] entries.
+/// its own request queue bounded to [`QueueOptions::depth`] entries per
+/// disk it serves.
 pub struct ThreadedQueue {
     device: Arc<dyn BlockDevice>,
     label: &'static str,
@@ -225,24 +344,36 @@ impl IoQueue for ThreadedQueue {
         let disks = self.device.disks();
         let jobs = self.opts.jobs;
         let workers = if jobs == 0 { disks } else { jobs.min(disks) }.max(1);
-        let capacity = self.opts.depth.max(1);
+        let depth = self.opts.depth.max(1);
         let time_scale = self.opts.time_scale;
-        let completions = Arc::new(Channel::new(usize::MAX));
-        let mut queues = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            queues.push(Arc::new(Channel::new(capacity)));
-        }
-        for queue in &queues {
-            let queue = Arc::clone(queue);
-            let completions = Arc::clone(&completions);
-            let device = Arc::clone(&self.device);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(&*device, &queue, &completions, disks, time_scale, epoch);
-            }));
-        }
+        let completions = Arc::new(Channel::new());
+        // Worker `w` serves the disks `d` with `d mod workers == w`.
+        let requests = Arc::new(Requests::new(
+            (0..workers)
+                .map(|w| depth * (disks.max(1) - w).div_ceil(workers))
+                .collect(),
+        ));
+        let handles = (0..workers)
+            .map(|w| {
+                let requests = Arc::clone(&requests);
+                let completions = Arc::clone(&completions);
+                let device = Arc::clone(&self.device);
+                std::thread::spawn(move || {
+                    worker_loop(
+                        &*device,
+                        &requests,
+                        w,
+                        &completions,
+                        disks,
+                        time_scale,
+                        epoch,
+                    );
+                })
+            })
+            .collect();
         self.running = Some(Running {
-            queues,
+            shares: vec![Vec::new(); workers],
+            requests,
             completions,
             handles,
         });
@@ -252,12 +383,13 @@ impl IoQueue for ThreadedQueue {
     fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
         let running = self
             .running
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| io::Error::other("queue not opened"))?;
+        let workers = running.shares.len();
         for &req in reqs {
-            let worker = req.req.disk.0 as usize % running.queues.len();
-            running.queues[worker].push(req);
+            running.shares[req.req.disk.0 as usize % workers].push(req);
         }
+        running.requests.submit(&mut running.shares);
         Ok(())
     }
 
@@ -266,32 +398,15 @@ impl IoQueue for ThreadedQueue {
             .running
             .as_ref()
             .ok_or_else(|| io::Error::other("queue not opened"))?;
-        let mut n = 0;
-        while n < min_wait {
-            match running.completions.pop() {
-                Some(c) => {
-                    out.push(c);
-                    n += 1;
-                }
-                None => {
-                    return Err(io::Error::other(
-                        "I/O workers exited with requests outstanding",
-                    ))
-                }
-            }
-        }
-        while let Some(c) = running.completions.try_pop() {
-            out.push(c);
-            n += 1;
-        }
-        Ok(n)
+        running
+            .completions
+            .reap(out, min_wait)
+            .ok_or_else(|| io::Error::other("I/O workers exited with requests outstanding"))
     }
 
     fn shutdown(&mut self) -> io::Result<()> {
         if let Some(running) = self.running.take() {
-            for q in &running.queues {
-                q.close();
-            }
+            running.requests.close();
             for handle in running.handles {
                 let _ = handle.join();
             }
@@ -309,7 +424,8 @@ impl Drop for ThreadedQueue {
 
 fn worker_loop(
     device: &dyn BlockDevice,
-    queue: &Channel<IoRequest>,
+    requests: &Requests,
+    worker: usize,
     completions: &Channel<IoCompletion>,
     disks: usize,
     time_scale: f64,
@@ -319,18 +435,30 @@ fn worker_loop(
     // anchored to the previous deadline, not to "now", so scheduling
     // jitter does not accumulate across a run.
     let mut free_at = vec![epoch; disks];
-    while let Some(io) = queue.pop() {
-        let d = io.req.disk.0 as usize;
-        let completion = service_one(device, &mut free_at[d], io, time_scale, epoch);
-        completions.push(completion);
+    let mut batch = Vec::new();
+    let mut done = Vec::new();
+    while requests.take(worker, &mut batch) {
+        for io in batch.drain(..) {
+            let d = io.req.disk.0 as usize;
+            let completion = service_one(device, &mut free_at[d], io, time_scale, epoch);
+            // A modeled completion goes back before the next service
+            // begins, so its arrival tracks the modeled disk; the rest
+            // wait for the end of the batch.
+            let modeled = completion.injected.is_some();
+            done.push(completion);
+            if modeled {
+                completions.push_all(done.drain(..));
+            }
+        }
+        completions.push_all(done.drain(..));
     }
 }
 
 /// Services one request synchronously: real read plus (when the backend
 /// injects latency) the modeled service time slept out against the
-/// disk's anchored deadline. Shared by the threaded queue, the depth-1
-/// compat shim, and the multi-job shared device set, so every face
-/// times requests identically.
+/// disk's anchored deadline. Shared by the threaded queue and the
+/// multi-job shared device set, so every face times requests
+/// identically.
 pub(crate) fn service_one(
     device: &dyn BlockDevice,
     free_at: &mut Instant,

@@ -5,20 +5,23 @@
 //! a queue produces — across disks, within a disk, in any reap batch
 //! size — must yield byte-identical output and simulator request-
 //! sequence parity. A property-based adversarial queue exercises that;
-//! the deprecated depth-1 [`BlockingQueue`] shim anchors the
-//! regression comparison against the pre-queue calling convention; and
-//! the O_DIRECT alignment precondition must fail loudly, not corrupt.
+//! a single-worker depth-1 [`ThreadedQueue`] anchors the regression
+//! comparison against the default queue; parked workers show the
+//! per-disk submission bound and that one full worker does not hold
+//! back the others; and the O_DIRECT alignment precondition must fail
+//! loudly, not corrupt.
 
 mod common;
 
 use std::io;
-use std::time::Instant;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use pm_core::ScenarioBuilder;
-use pm_disk::{BlockAddr, DiskId};
+use pm_disk::{BlockAddr, DiskId, DiskRequest};
 use pm_engine::{
     BlockDevice, ExecOutcome, IoCompletion, IoQueue, IoRequest, MemoryDevice, MergeEngine,
-    ThreadedQueue, DIRECT_ALIGN,
+    QueueOptions, ThreadedQueue, DIRECT_ALIGN,
 };
 use pm_extsort::Record;
 use proptest::prelude::*;
@@ -183,13 +186,11 @@ proptest! {
 }
 
 #[test]
-#[allow(deprecated)]
-fn blocking_shim_matches_the_threaded_queue_at_depth_1() {
-    // Depth-1 regression against the pre-queue calling convention: the
-    // deprecated synchronous shim and the threaded queue must agree on
-    // everything the engine reports.
-    use pm_engine::BlockingQueue;
-
+fn depth_1_single_worker_matches_the_default_threaded_queue() {
+    // Depth-1 regression against the tightest queue shape: one worker
+    // over every disk at depth 1 and the default queue (one worker per
+    // disk, negotiated depth) must agree on everything the engine
+    // reports.
     let runs = form_runs(2500, 300, 31);
     let cfg = ScenarioBuilder::new(runs.len() as u32, 2)
         .inter(3)
@@ -197,26 +198,208 @@ fn blocking_shim_matches_the_threaded_queue_at_depth_1() {
         .build()
         .unwrap();
     let disks = cfg.disks as usize;
-    let engine = engine_custom(cfg, &runs, 1, 1, RPB);
-    let threaded = run_memory(&engine, &runs, disks);
+    let threaded = run_memory(&engine_custom(cfg, &runs, 0, 0, RPB), &runs, disks);
+    let narrow = run_memory(&engine_custom(cfg, &runs, 1, 1, RPB), &runs, disks);
 
-    let mut shim = BlockingQueue::new(MemoryDevice::new(disks, engine.block_bytes()));
-    engine.load(&mut shim, &runs).expect("load");
-    let blocking = engine.execute(Box::new(shim)).expect("execute");
-
-    assert_eq!(blocking.output, threaded.output);
-    assert_eq!(blocking.requests, threaded.requests);
-    assert_eq!(blocking.depletion, threaded.depletion);
+    assert_eq!(narrow.output, threaded.output);
+    assert_eq!(narrow.requests, threaded.requests);
+    assert_eq!(narrow.depletion, threaded.depletion);
     assert_eq!(
-        blocking.report.per_disk_requests,
+        narrow.report.per_disk_requests,
         threaded.report.per_disk_requests
     );
-    assert_eq!(blocking.report.demand_ops, threaded.report.demand_ops);
-    assert_eq!(blocking.report.fallback_ops, threaded.report.fallback_ops);
+    assert_eq!(narrow.report.demand_ops, threaded.report.demand_ops);
+    assert_eq!(narrow.report.fallback_ops, threaded.report.fallback_ops);
     assert_eq!(
-        blocking.report.full_prefetch_ops,
+        narrow.report.full_prefetch_ops,
         threaded.report.full_prefetch_ops
     );
+}
+
+/// A [`MemoryDevice`] whose reads on disks below `gated` park until the
+/// test opens the gate. Every finished read reports its disk.
+struct GatedDevice {
+    inner: MemoryDevice,
+    gated: u16,
+    open: Arc<(Mutex<bool>, Condvar)>,
+    served: mpsc::Sender<u16>,
+}
+
+impl BlockDevice for GatedDevice {
+    fn block_bytes(&self) -> usize {
+        self.inner.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.inner.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        if disk.0 < self.gated {
+            let (lock, cond) = &*self.open;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cond.wait(open).unwrap();
+            }
+        }
+        let read = self.inner.read_block(disk, start, buf);
+        let _ = self.served.send(disk.0);
+        read
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.inner.write_block(disk, start, data)
+    }
+}
+
+/// An open [`ThreadedQueue`] over a [`GatedDevice`] whose block `b` of
+/// disk `d` holds the byte and tag `d * blocks + b`.
+struct Gated {
+    queue: ThreadedQueue,
+    open: Arc<(Mutex<bool>, Condvar)>,
+    served: mpsc::Receiver<u16>,
+    blocks: u64,
+}
+
+impl Gated {
+    fn new(disks: u16, gated: u16, blocks: u64, opts: QueueOptions) -> Self {
+        const BB: usize = 16;
+        let open = Arc::new((Mutex::new(false), Condvar::new()));
+        let (tx, served) = mpsc::channel();
+        let mut device = GatedDevice {
+            inner: MemoryDevice::new(disks as usize, BB),
+            gated,
+            open: Arc::clone(&open),
+            served: tx,
+        };
+        for d in 0..disks {
+            for b in 0..blocks {
+                let byte = (u64::from(d) * blocks + b) as u8;
+                device
+                    .write_block(DiskId(d), BlockAddr(b), &[byte; BB])
+                    .unwrap();
+            }
+        }
+        let mut queue = ThreadedQueue::over(Arc::new(device), "gated", opts);
+        queue.open(Instant::now()).unwrap();
+        Gated {
+            queue,
+            open,
+            served,
+            blocks,
+        }
+    }
+
+    fn requests(&self, blocks: &[(u16, u64)]) -> Vec<IoRequest> {
+        blocks
+            .iter()
+            .map(|&(d, b)| IoRequest {
+                req: DiskRequest {
+                    disk: DiskId(d),
+                    start: BlockAddr(b),
+                    len: 1,
+                    sequential_hint: false,
+                    tag: u64::from(d) * self.blocks + b,
+                },
+                span: b,
+                submitted: Instant::now(),
+            })
+            .collect()
+    }
+
+    /// Submits `reqs` on a thread of its own, returning the queue when
+    /// the submission returns and signalling `submitted`.
+    fn submit_async(
+        queue: ThreadedQueue,
+        reqs: Vec<IoRequest>,
+    ) -> (std::thread::JoinHandle<ThreadedQueue>, mpsc::Receiver<()>) {
+        let (tx, submitted) = mpsc::channel();
+        let mut queue = queue;
+        let handle = std::thread::spawn(move || {
+            queue.submit(&reqs).unwrap();
+            let _ = tx.send(());
+            queue
+        });
+        (handle, submitted)
+    }
+
+    fn release(open: &(Mutex<bool>, Condvar)) {
+        *open.0.lock().unwrap() = true;
+        open.1.notify_all();
+    }
+}
+
+/// Reaps `n` completions and checks each carries its own block.
+fn reap_all(queue: &mut ThreadedQueue, n: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    while out.len() < n {
+        queue.complete(&mut out, 1).unwrap();
+    }
+    assert_eq!(out.len(), n);
+    for c in &out {
+        assert_eq!(u64::from(c.data.as_ref().unwrap()[0]), c.tag);
+    }
+    let mut tags: Vec<u64> = out.iter().map(|c| c.tag).collect();
+    tags.sort_unstable();
+    tags
+}
+
+#[test]
+fn one_worker_queues_depth_requests_per_disk() {
+    // One worker over 4 disks at depth 2 must queue 2 requests per disk:
+    // a batch of 8 (2 per disk) is accepted while the worker is parked
+    // in its first read. A per-worker bound of `depth` would block the
+    // submission until the gate opens.
+    let opts = QueueOptions {
+        depth: 2,
+        jobs: 1,
+        time_scale: 1.0,
+    };
+    let gated = Gated::new(4, 4, 2, opts);
+    let blocks: Vec<(u16, u64)> = (0..2).flat_map(|b| (0..4).map(move |d| (d, b))).collect();
+    let reqs = gated.requests(&blocks);
+    let (submitter, submitted) = Gated::submit_async(gated.queue, reqs);
+    if submitted.recv_timeout(Duration::from_secs(10)).is_err() {
+        Gated::release(&gated.open);
+        let _ = submitter.join();
+        panic!("submitting 2 requests per disk blocked on a parked worker");
+    }
+    let mut queue = submitter.join().unwrap();
+    let mut out = Vec::new();
+    assert_eq!(
+        queue.complete(&mut out, 0).unwrap(),
+        0,
+        "the gate is still shut"
+    );
+    Gated::release(&gated.open);
+    assert_eq!(reap_all(&mut queue, 8), (0..8).collect::<Vec<u64>>());
+    queue.shutdown().unwrap();
+}
+
+#[test]
+fn a_full_worker_does_not_hold_back_the_other_workers() {
+    // Two workers at depth 1, and disk 0's reads park. A batch of three
+    // requests for disk 0 and then one for disk 1 blocks in `submit` on
+    // disk 0's full queue, but disk 1 must get its request and serve it
+    // meanwhile.
+    let opts = QueueOptions {
+        depth: 1,
+        jobs: 0,
+        time_scale: 1.0,
+    };
+    let gated = Gated::new(2, 1, 3, opts);
+    let reqs = gated.requests(&[(0, 0), (0, 1), (0, 2), (1, 0)]);
+    let (submitter, _) = Gated::submit_async(gated.queue, reqs);
+    let served = gated.served.recv_timeout(Duration::from_secs(10));
+    Gated::release(&gated.open);
+    let mut queue = submitter.join().unwrap();
+    assert_eq!(
+        served.ok(),
+        Some(1),
+        "disk 1 waited behind disk 0's full queue"
+    );
+    assert_eq!(reap_all(&mut queue, 4), vec![0, 1, 2, 3]);
+    queue.shutdown().unwrap();
 }
 
 #[test]

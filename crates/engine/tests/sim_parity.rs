@@ -150,4 +150,17 @@ fn latency_backend_wall_clock_tracks_prediction() {
         (0.8..=1.3).contains(&ratio),
         "scaled wall {measured:.2}s vs predicted {predicted:.2}s (ratio {ratio:.3})"
     );
+
+    // Outside its own CPU work the merge thread is blocked in the queue,
+    // either on submission backpressure or waiting for arrivals, and
+    // `stall` must count both. The same merge on the memory backend
+    // measures that CPU work.
+    let memory = run_memory(&engine, &runs, 2);
+    let merge_self = memory.report.wall.saturating_sub(memory.report.stall);
+    let blocked = outcome.report.wall.saturating_sub(merge_self).as_secs_f64();
+    let stall = outcome.report.stall.as_secs_f64();
+    assert!(
+        stall >= 0.8 * blocked,
+        "stall {stall:.3}s covers under 80% of the {blocked:.3}s spent outside merge work"
+    );
 }
