@@ -32,13 +32,13 @@ use pm_engine::{
 };
 use pm_extsort::plan::{min_passes, plan_merge_tree, PlanPolicy};
 use pm_extsort::{generate, run_formation, Record};
-use pm_metrics::StackMetrics;
+use pm_metrics::{NullMetrics, StackMetrics};
 use pm_obs::{
     Bound, DiskRollup, ManifestRecord, PointMetrics, RecordKind, ResidualCheck, TraceRollup,
     SCHEMA_VERSION,
 };
 use pm_report::{Align, Table};
-use pm_trace::{export, TraceMetrics};
+use pm_trace::{export, NullSink, RecordingSink, TraceEvent, TraceMetrics};
 use pm_workload::spec::ScenarioSpec;
 
 use crate::args::Args;
@@ -59,17 +59,27 @@ const EXEC_KEYS: &[&str] = &[
     "metrics-out", "metrics-interval",
 ];
 
-/// Runs the engine through the metered entry point when `--metrics-out`
-/// asked for a sink, the plain one otherwise.
+/// Runs the engine with only the sinks the flags ask for: metrics when
+/// `--metrics-out` built a registry, a trace recording when `record`
+/// (`--trace-out` or `--manifest-out`). Returns the recorded events
+/// sorted by timestamp (stable, so same-instant events keep emission
+/// order); empty when nothing was recorded.
 fn execute_with(
     engine: &MergeEngine,
     queue: Box<dyn IoQueue>,
     metrics: Option<&StackMetrics>,
-) -> Result<ExecOutcome, PmError> {
-    match metrics {
-        Some(m) => engine.execute_metered(queue, m),
-        None => engine.execute(queue),
-    }
+    record: bool,
+) -> Result<(ExecOutcome, Vec<TraceEvent>), PmError> {
+    let mut trace = RecordingSink::unbounded();
+    let outcome = match (metrics, record) {
+        (Some(m), true) => engine.execute_metered(queue, m, &mut trace),
+        (Some(m), false) => engine.execute_metered(queue, m, &mut NullSink),
+        (None, true) => engine.execute_metered(queue, &NullMetrics, &mut trace),
+        (None, false) => engine.execute(queue),
+    }?;
+    let mut events = trace.into_events();
+    events.sort_by_key(|e| e.at);
+    Ok((outcome, events))
 }
 
 /// Which I/O queue backs the engine.
@@ -225,7 +235,8 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         Some(d) => std::path::PathBuf::from(d),
         None => std::env::temp_dir().join(format!("pmerge-exec-{}", std::process::id())),
     });
-    let outcome = {
+    let record = args.get("trace-out").is_some() || args.get("manifest-out").is_some();
+    let (outcome, events) = {
         let mut queue: Box<dyn IoQueue> = match backend {
             Backend::Memory => {
                 Box::new(ThreadedQueue::memory(disks, engine.block_bytes(), opts))
@@ -269,7 +280,7 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
             Backend::Uring => unreachable!("resolve_uring downgraded the backend"),
         };
         engine.load(&mut *queue, &runs)?;
-        execute_with(&engine, queue, metrics.as_deref())?
+        execute_with(&engine, queue, metrics.as_deref(), record)?
     };
     if let Some(dir) = &dir {
         println!("device files under {}", dir.display());
@@ -333,9 +344,9 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
     }
     if let Some(path) = args.get("trace-out") {
         let rendered = match args.get("trace-format").unwrap_or("chrome") {
-            "chrome" => export::chrome_trace_json(&outcome.events),
-            "csv" => export::csv(&outcome.events),
-            "gantt" => export::gantt(&outcome.events, &export::GanttOptions::default()),
+            "chrome" => export::chrome_trace_json(&events),
+            "csv" => export::csv(&events),
+            "gantt" => export::gantt(&events, &export::GanttOptions::default()),
             other => {
                 return Err(PmError::Usage(format!(
                     "unknown trace format '{other}' (chrome | csv | gantt)"
@@ -347,7 +358,14 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         println!("wrote {path}");
     }
     if let Some(path) = args.get("manifest-out") {
-        let record = manifest_record(backend, &engine, &outcome, &prediction.report, &residual);
+        let record = manifest_record(
+            backend,
+            &engine,
+            &outcome,
+            &events,
+            &prediction.report,
+            &residual,
+        );
         let mut line = record.to_json_line();
         line.push('\n');
         std::fs::write(path, line)
@@ -894,12 +912,13 @@ fn manifest_record(
     backend: Backend,
     engine: &MergeEngine,
     outcome: &ExecOutcome,
+    events: &[TraceEvent],
     sim: &pm_core::MergeReport,
     residual: &Option<ResidualCheck>,
 ) -> ManifestRecord {
     let cfg = engine.merge_config();
     let r = &outcome.report;
-    let m = TraceMetrics::from_events(&outcome.events);
+    let m = TraceMetrics::from_events(events);
     let span_ns = m.span_end.as_nanos() as f64;
     let disks = m
         .input_disks

@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use pm_core::{MergeConfig, PmError, ScenarioBuilder};
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, SharedDeviceSet, ThreadedQueue};
-use pm_metrics::{MetricsSink, StackMetrics};
+use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_extsort::{generate, run_formation};
 use pm_obs::json::Value;
 use pm_obs::{ManifestRecord, PointMetrics, RecordKind, TenantInfo, SCHEMA_VERSION};
@@ -50,7 +50,7 @@ use pm_service::{
     TenantSimOptions,
 };
 use pm_sim::{derive_seeds, SimDuration};
-use pm_trace::EventKind;
+use pm_trace::{EventKind, RecordingSink, TraceEvent};
 use pm_workload::spec::ScenarioSpec;
 
 use crate::args::Args;
@@ -539,17 +539,27 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
         threads.push(std::thread::spawn({
             let engine = engine.clone();
             let metrics = metrics.clone();
-            move || match &metrics {
-                Some(m) => engine.execute_shared_metered(port, &**m),
-                None => engine.execute_shared(port),
+            move || {
+                // Traced for the per-tenant queue wait.
+                let mut trace = RecordingSink::unbounded();
+                let outcome = match &metrics {
+                    Some(m) => engine.execute_shared_metered(port, &**m, &mut trace),
+                    None => engine.execute_shared_metered(port, &NullMetrics, &mut trace),
+                }?;
+                let mut events = trace.into_events();
+                events.sort_by_key(|e| e.at);
+                Ok::<_, PmError>((outcome, mean_queue_wait_secs(&events)))
             }
         }));
     }
     let mut outcomes = Vec::with_capacity(threads.len());
+    let mut waits = Vec::with_capacity(threads.len());
     for t in threads {
-        outcomes.push(t.join().map_err(|_| {
+        let (outcome, wait) = t.join().map_err(|_| {
             PmError::Usage("a tenant's merge thread panicked".into())
-        })??);
+        })??;
+        outcomes.push(outcome);
+        waits.push(wait);
     }
     set.shutdown();
     if let Some(live) = live {
@@ -597,10 +607,10 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
         }
     }
 
-    print_serve(&jobs, &grants, &outcomes, &isolated, sched_name, cp_name);
+    print_serve(&jobs, &grants, &outcomes, &isolated, &waits, sched_name, cp_name);
     if let Some(path) = args.get("manifest-out") {
         let records = serve_manifest(
-            &jobs, &grants, &engines, &outcomes, &isolated, sched_name, cp_name, seed,
+            &jobs, &grants, &engines, &outcomes, &isolated, &waits, sched_name, cp_name, seed,
         );
         std::fs::write(path, pm_obs::render_manifest(&records))
             .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
@@ -628,12 +638,12 @@ fn load_spec_for_serve(args: &Args) -> Result<ServiceSpec, PmError> {
 }
 
 /// Mean input-request queue wait (submit → service start) in seconds,
-/// from the engine's trace events.
-fn mean_queue_wait_secs(outcome: &ExecOutcome) -> f64 {
+/// from the engine's time-ordered trace events.
+fn mean_queue_wait_secs(events: &[TraceEvent]) -> f64 {
     let mut issued = std::collections::BTreeMap::new();
     let mut total = 0.0f64;
     let mut served = 0u64;
-    for ev in &outcome.events {
+    for ev in events {
         match ev.kind {
             EventKind::DiskIssue { disk, output: false, span, .. } => {
                 issued.insert((disk, span), ev.at);
@@ -659,6 +669,7 @@ fn print_serve(
     grants: &[u32],
     outcomes: &[ExecOutcome],
     isolated: &[ExecOutcome],
+    waits: &[f64],
     sched: &str,
     cache_policy: &str,
 ) {
@@ -673,8 +684,8 @@ fn print_serve(
     for i in 1..8 {
         t.set_align(i, Align::Right);
     }
-    for (((job, grant), shared), alone) in
-        jobs.iter().zip(grants).zip(outcomes).zip(isolated)
+    for ((((job, grant), shared), alone), wait) in
+        jobs.iter().zip(grants).zip(outcomes).zip(isolated).zip(waits)
     {
         let shared_ms = shared.report.wall.as_secs_f64() * 1e3;
         let alone_ms = alone.report.wall.as_secs_f64() * 1e3;
@@ -686,7 +697,7 @@ fn print_serve(
             format!("{shared_ms:.2}"),
             format!("{alone_ms:.2}"),
             format!("{:.3}", if alone_ms > 0.0 { shared_ms / alone_ms } else { f64::NAN }),
-            format!("{:.3}", mean_queue_wait_secs(shared) * 1e3),
+            format!("{:.3}", wait * 1e3),
         ]);
     }
     println!("{}", t.render());
@@ -700,6 +711,7 @@ fn serve_manifest(
     engines: &[MergeEngine],
     outcomes: &[ExecOutcome],
     isolated: &[ExecOutcome],
+    waits: &[f64],
     sched: &str,
     cache_policy: &str,
     master_seed: u64,
@@ -726,7 +738,7 @@ fn serve_manifest(
                     cache_policy: cache_policy.to_string(),
                     isolated_secs: alone_secs,
                     makespan_secs: shared_secs,
-                    queue_wait_secs: mean_queue_wait_secs(shared),
+                    queue_wait_secs: waits[t],
                     slowdown: if alone_secs > 0.0 {
                         shared_secs / alone_secs
                     } else {

@@ -107,6 +107,10 @@ impl<T: Ord> LoserTree<T> {
     ///
     /// Returns the removed `(source, item)`, or `None` if the tree was
     /// already empty (in which case `replacement` must be `None`).
+    ///
+    /// Always inlined: this is the per-record step of every merge, and
+    /// an out-of-line call here costs a merge loop several percent.
+    #[inline(always)]
     pub fn pop_and_replace(&mut self, replacement: Option<T>) -> Option<(usize, T)> {
         let source = self.winner;
         let item = match self.items[source].take() {

@@ -33,6 +33,20 @@
 //! can evaluate exactly ([`pm_core::PrefetchChoice::HeadProximity`]
 //! scores against the cylinder of the *last submitted* block per disk,
 //! which can diverge from the simulator's serviced-head position).
+//! Any [`pm_disk::QueueDiscipline`] is *executable* — the latency model
+//! just sees FIFO service order — but only FIFO predictions are
+//! meaningful.
+//!
+//! ## Tracing
+//!
+//! Like [`MergeSim`], the engine is generic over a
+//! [`pm_trace::TraceSink`]. Every emission, and the clock read that
+//! stamps it, sits behind [`TraceSink::ENABLED`], so the
+//! [`pm_trace::NullSink`] of [`MergeEngine::execute`] compiles tracing
+//! out of the merge entirely. Pass a recording sink to
+//! [`MergeEngine::execute_metered`] to keep the events; they arrive in
+//! emission order, and a stable sort by timestamp gives the time-ordered
+//! stream.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -42,12 +56,15 @@ use pm_core::{
     DataLayout, MergeConfig, MergeReport, MergeSim, PmError, PrefetchChoice, PrefetchStrategy,
     RunLayout, SyncMode, TraceDepletion,
 };
-use pm_disk::{Cylinder, DiskId, DiskRequest, QueueDiscipline};
+use pm_disk::{Cylinder, DiskId, DiskRequest};
 use pm_core::LoserTree;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimRng, SimTime};
-use pm_trace::{pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, RecordingSink, TraceEvent, TraceSink};
+use pm_trace::{
+    pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, NullSink, RecordingSink, TraceEvent,
+    TraceSink,
+};
 
 use crate::block::{block_bytes, decode_into, encode_records};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
@@ -135,9 +152,6 @@ pub struct ExecOutcome {
     /// Per disk, the `(run, block)` requests in submission (= FIFO
     /// service) order.
     pub requests: Vec<Vec<(u32, u32)>>,
-    /// The trace-event stream, sorted by timestamp (wall-clock
-    /// nanoseconds since the engine epoch on the simulated-time axis).
-    pub events: Vec<TraceEvent>,
 }
 
 /// The simulator's answer for an engine run's depletion sequence.
@@ -333,6 +347,8 @@ impl MergeEngine {
 
     /// Executes the merge against a loaded queue: opens it, drives the
     /// merge through batched submit/complete, and shuts it down.
+    /// Untraced and unmetered: both sinks are the null ones, so neither
+    /// costs the merge anything.
     ///
     /// # Errors
     ///
@@ -344,16 +360,25 @@ impl MergeEngine {
     /// Panics if an internal invariant breaks (mirroring the
     /// simulator's own invariant assertions).
     pub fn execute(&self, queue: Box<dyn IoQueue>) -> Result<ExecOutcome, PmError> {
-        self.execute_metered(queue, &NullMetrics)
+        self.execute_metered(queue, &NullMetrics, &mut NullSink)
     }
 
-    /// [`MergeEngine::execute`] with a metrics sink: every block arrival
-    /// records per-disk service time, queue wait (submit to service
-    /// start) and bytes read into `metrics`; every submission batch and
-    /// completion reap records its size, and per-disk in-flight depth is
-    /// sampled at both transitions. With [`pm_metrics::NullMetrics`] the
-    /// recording compiles away and the run is identical to
-    /// [`MergeEngine::execute`].
+    /// [`MergeEngine::execute`] with a metrics sink and a trace sink.
+    ///
+    /// Every block arrival records per-disk service time, queue wait
+    /// (submit to service start) and bytes read into `metrics`; every
+    /// submission batch and completion reap records its size, and
+    /// per-disk in-flight depth is sampled at both transitions.
+    ///
+    /// `trace` receives the merge's events (depletions, demand misses,
+    /// prefetch batches, cache admissions, and each request's issue,
+    /// seek and transfer) in emission order, stamped in wall-clock
+    /// nanoseconds since the engine epoch on the simulated-time axis;
+    /// sort them stably by timestamp for a time-ordered stream. With
+    /// [`pm_metrics::NullMetrics`] and [`pm_trace::NullSink`] both
+    /// compile away and the run is [`MergeEngine::execute`].
+    /// Decisions, output and request sequences never depend on either
+    /// sink.
     ///
     /// # Errors
     ///
@@ -364,10 +389,11 @@ impl MergeEngine {
     ///
     /// Panics if an internal invariant breaks (mirroring the
     /// simulator's own invariant assertions).
-    pub fn execute_metered<M: MetricsSink>(
+    pub fn execute_metered<M: MetricsSink, S: TraceSink>(
         &self,
         mut queue: Box<dyn IoQueue>,
         metrics: &M,
+        trace: &mut S,
     ) -> Result<ExecOutcome, PmError> {
         if queue.disks() < self.merge.disks as usize {
             return Err(PmError::Usage(format!(
@@ -380,16 +406,17 @@ impl MergeEngine {
         queue
             .open(epoch)
             .map_err(|e| PmError::device(queue.backend(), "opening the queue", e))?;
-        let mut state = ExecState::new(self, queue, 0, epoch, metrics);
+        let mut state = ExecState::new(self, queue, 0, epoch, metrics, trace);
         state.run()
     }
 
     /// Executes the merge through a [`crate::SharedDeviceSet`] port:
     /// same decision procedure, but the disks are shared with other
     /// jobs and the set's [`pm_service::IoSched`] picks service order.
-    /// Trace event tags carry the port's tenant id
+    /// Request tags carry the port's tenant id
     /// ([`pm_trace::pack_tenant_tag`]); run ids must fit
-    /// [`pm_trace::TENANT_TAG_MAX_RUN`].
+    /// [`pm_trace::TENANT_TAG_MAX_RUN`]. Untraced and unmetered, like
+    /// [`MergeEngine::execute`].
     ///
     /// # Errors
     ///
@@ -401,12 +428,14 @@ impl MergeEngine {
     /// Panics if an internal invariant breaks (mirroring the
     /// simulator's own invariant assertions).
     pub fn execute_shared(&self, port: SharedPort) -> Result<ExecOutcome, PmError> {
-        self.execute_shared_metered(port, &NullMetrics)
+        self.execute_shared_metered(port, &NullMetrics, &mut NullSink)
     }
 
-    /// [`MergeEngine::execute_shared`] with a metrics sink: block
-    /// arrivals additionally record per-tenant block counts and queue
-    /// waits under the port's tenant id.
+    /// [`MergeEngine::execute_shared`] with a metrics sink and a trace
+    /// sink, as in [`MergeEngine::execute_metered`]: block arrivals
+    /// additionally record per-tenant block counts and queue waits
+    /// under the port's tenant id, and the traced disk events carry it
+    /// in their tags.
     ///
     /// # Errors
     ///
@@ -417,10 +446,11 @@ impl MergeEngine {
     ///
     /// Panics if an internal invariant breaks (mirroring the
     /// simulator's own invariant assertions).
-    pub fn execute_shared_metered<M: MetricsSink>(
+    pub fn execute_shared_metered<M: MetricsSink, S: TraceSink>(
         &self,
         port: SharedPort,
         metrics: &M,
+        trace: &mut S,
     ) -> Result<ExecOutcome, PmError> {
         if self.merge.runs > pm_trace::TENANT_TAG_MAX_RUN {
             return Err(PmError::Usage(format!(
@@ -434,7 +464,7 @@ impl MergeEngine {
         let epoch = Instant::now();
         port.open(epoch)
             .map_err(|e| PmError::device("shared", "opening the port", e))?;
-        let mut state = ExecState::new(self, port, tenant, epoch, metrics);
+        let mut state = ExecState::new(self, port, tenant, epoch, metrics, trace);
         state.run()
     }
 
@@ -501,7 +531,7 @@ impl Cursor {
     }
 }
 
-struct ExecState<'a, M: MetricsSink> {
+struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     plan: &'a MergeEngine,
     port: Box<dyn IoQueue>,
     /// The queue's backend label, for error context.
@@ -549,7 +579,7 @@ struct ExecState<'a, M: MetricsSink> {
     /// *submitted* block (head-proximity scoring).
     head_cyl: Vec<Cylinder>,
     spans: Vec<u64>,
-    sink: RecordingSink,
+    sink: &'a mut S,
     stall: Duration,
     per_disk_requests: Vec<u64>,
     per_disk_sequential: Vec<u64>,
@@ -562,13 +592,14 @@ struct ExecState<'a, M: MetricsSink> {
     full_prefetch_ops: u64,
 }
 
-impl<'a, M: MetricsSink> ExecState<'a, M> {
+impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     fn new(
         plan: &'a MergeEngine,
         port: Box<dyn IoQueue>,
         tenant: u16,
         epoch: Instant,
         metrics: &'a M,
+        sink: &'a mut S,
     ) -> Self {
         let backend = port.backend();
         let merge = &plan.merge;
@@ -628,7 +659,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             submit_counts: vec![0; d],
             head_cyl: vec![Cylinder(0); d],
             spans: vec![0; d],
-            sink: RecordingSink::unbounded(),
+            sink,
             stall: Duration::ZERO,
             per_disk_requests: vec![0; d],
             per_disk_sequential: vec![0; d],
@@ -642,8 +673,22 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         }
     }
 
+    /// The timestamp of an event emitted now. Reads the clock only when
+    /// tracing is on.
     fn now(&self) -> SimTime {
-        SimTime::ZERO + SimDuration::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        if S::ENABLED {
+            SimTime::ZERO + SimDuration::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        } else {
+            SimTime::ZERO
+        }
+    }
+
+    /// Emits `kind` stamped now; compiled out when tracing is off.
+    fn trace(&mut self, kind: EventKind) {
+        if S::ENABLED {
+            let at = self.now();
+            self.sink.emit(TraceEvent { at, kind });
+        }
     }
 
     fn run(&mut self) -> Result<ExecOutcome, PmError> {
@@ -692,8 +737,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         self.port
             .shutdown()
             .map_err(|e| PmError::device(self.backend, "shutting down the queue", e))?;
-        let mut events = std::mem::replace(&mut self.sink, RecordingSink::unbounded()).into_events();
-        events.sort_by_key(|e| e.at);
         let report = ExecReport {
             wall,
             stall: self.stall,
@@ -717,7 +760,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             report,
             depletion: std::mem::take(&mut self.depletion),
             requests: std::mem::take(&mut self.request_log),
-            events,
         })
     }
 
@@ -760,14 +802,16 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     /// the run's next block (`None` once the run is exhausted).
     fn advance_run(&mut self, j: RunId) -> Result<Option<Vec<Record>>, PmError> {
         let now = self.now();
-        self.sink.emit(TraceEvent {
-            at: now,
-            kind: EventKind::CpuConsume {
-                run: j.0,
-                block: self.runs[j.0 as usize].depleted,
-            },
-        });
-        self.cache.deplete_traced(j, now, &mut self.sink);
+        if S::ENABLED {
+            self.sink.emit(TraceEvent {
+                at: now,
+                kind: EventKind::CpuConsume {
+                    run: j.0,
+                    block: self.runs[j.0 as usize].depleted,
+                },
+            });
+        }
+        self.cache.deplete_traced(j, now, self.sink);
         self.depletion.push(j);
         let progress = &mut self.runs[j.0 as usize];
         progress.depleted += 1;
@@ -775,10 +819,12 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         let depleted = progress.depleted;
         let total = progress.total;
         if depleted == total {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::RunExhausted { run: j.0 },
-            });
+            if S::ENABLED {
+                self.sink.emit(TraceEvent {
+                    at: now,
+                    kind: EventKind::RunExhausted { run: j.0 },
+                });
+            }
             return Ok(None);
         }
         if self.cache.held(j) == 0 {
@@ -788,7 +834,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             debug_assert_eq!(self.plan.merge.sync, SyncMode::Unsynchronized);
             self.gate = Some(Gate::Block { run: j });
         }
-        self.wait_gate(j)?;
+        self.wait_gate()?;
         Ok(Some(self.take_block(j)?))
     }
 
@@ -801,13 +847,10 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         debug_assert!(demand_blocks >= 1);
         let demand_index = progress.next_fetch;
         debug_assert_eq!(demand_index, progress.depleted);
-        self.sink.emit(TraceEvent {
-            at: self.now(),
-            kind: EventKind::DemandMiss {
-                run: j.0,
-                block: demand_index,
-                free: self.cache.free(),
-            },
+        self.trace(EventKind::DemandMiss {
+            run: j.0,
+            block: demand_index,
+            free: self.cache.free(),
         });
         let issued_total = if self.plan.merge.strategy.is_inter_run() {
             self.issue_inter_run(j, demand_blocks)
@@ -826,8 +869,10 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     }
 
     /// Hands everything staged since the last flush to the queue as one
-    /// batch (one decision point = one submission batch), recording
-    /// per-disk batch sizes and in-flight depth when metered.
+    /// batch (one decision point = one submission batch), stamping each
+    /// request's [`IoRequest::submitted`] with the one instant of the
+    /// handoff, and recording per-disk batch sizes and in-flight depth
+    /// when metered.
     fn flush_submissions(&mut self) -> Result<(), PmError> {
         if self.stage.is_empty() {
             return Ok(());
@@ -848,11 +893,14 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             }
         }
         let n = self.stage.len();
-        let blocked = Instant::now();
+        let submitted = Instant::now();
+        for r in &mut self.stage {
+            r.submitted = submitted;
+        }
         self.port.submit(&self.stage).map_err(|e| {
             PmError::device(self.backend, format!("submitting a batch of {n} reads"), e)
         })?;
-        self.stall += blocked.elapsed();
+        self.stall += submitted.elapsed();
         self.stage.clear();
         Ok(())
     }
@@ -914,13 +962,10 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             debug_assert!(blocks >= 1);
             groups.push(PrefetchGroup { run, blocks });
         }
-        self.sink.emit(TraceEvent {
-            at: self.now(),
-            kind: EventKind::PrefetchBatch {
-                groups: groups.len() as u32,
-                blocks: groups.iter().map(|g| g.blocks).sum(),
-                depth,
-            },
+        self.trace(EventKind::PrefetchBatch {
+            groups: groups.len() as u32,
+            blocks: groups.iter().map(|g| g.blocks).sum(),
+            depth,
         });
         if merge.admission == AdmissionPolicy::Greedy && groups.len() > 2 {
             self.rng.shuffle(&mut groups[1..]);
@@ -932,7 +977,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             &groups,
             &mut admitted,
             now,
-            &mut self.sink,
+            self.sink,
         );
         if full {
             self.full_prefetch_ops += 1;
@@ -964,8 +1009,9 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         issued
     }
 
-    /// Stages `count` single-block requests for the next flush and
-    /// advances the fetch pointer (frames must already be reserved).
+    /// Stages `count` single-block requests for the next flush (which
+    /// stamps their submission time) and advances the fetch pointer
+    /// (frames must already be reserved).
     fn submit_blocks(&mut self, run: RunId, start_index: u32, count: u32) {
         debug_assert!(count >= 1);
         let stride = self.plan.layout.same_disk_stride();
@@ -976,14 +1022,11 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             let tag = pack_tenant_tag(self.tenant, run.0, index);
             let span = self.spans[d];
             self.spans[d] += 1;
-            self.sink.emit(TraceEvent {
-                at: self.now(),
-                kind: EventKind::DiskIssue {
-                    disk: disk.0,
-                    output: false,
-                    tag,
-                    span,
-                },
+            self.trace(EventKind::DiskIssue {
+                disk: disk.0,
+                output: false,
+                tag,
+                span,
             });
             self.per_disk_requests[d] += 1;
             self.request_log[d].push((run.0, index));
@@ -997,7 +1040,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                     tag,
                 },
                 span,
-                submitted: Instant::now(),
+                submitted: self.epoch,
             });
         }
         let progress = &mut self.runs[run.0 as usize];
@@ -1023,7 +1066,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
 
     /// Waits out the gate the last issue set (if any), then returns once
     /// the arrivals the simulator would wait for have been processed.
-    fn wait_gate(&mut self, j: RunId) -> Result<(), PmError> {
+    fn wait_gate(&mut self) -> Result<(), PmError> {
         match self.gate.take() {
             None => {}
             Some(Gate::SyncOp { remaining }) => {
@@ -1035,7 +1078,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                 while self.await_arrival()? != run {}
             }
         }
-        let _ = j;
         Ok(())
     }
 
@@ -1103,7 +1145,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         let sequential = match completion.injected {
             Some(inj) => {
                 self.per_disk_modeled_busy[d] += inj.breakdown.total();
-                if !inj.sequential {
+                if S::ENABLED && !inj.sequential {
                     // Retroactive, like the simulator: positioning ends
                     // seek+latency (scaled) after service start.
                     let positioning = inj.breakdown.seek + inj.breakdown.latency;
@@ -1128,17 +1170,19 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         if sequential {
             self.per_disk_sequential[d] += 1;
         }
-        self.sink.emit(TraceEvent {
-            at: finished,
-            kind: EventKind::DiskTransferDone {
-                disk: completion.disk,
-                output: false,
-                tag: completion.tag,
-                span: completion.span,
-                started,
-                sequential,
-            },
-        });
+        if S::ENABLED {
+            self.sink.emit(TraceEvent {
+                at: finished,
+                kind: EventKind::DiskTransferDone {
+                    disk: completion.disk,
+                    output: false,
+                    tag: completion.tag,
+                    span: completion.span,
+                    started,
+                    sequential,
+                },
+            });
+        }
         let count = self.records_in_block(run, index);
         let mut records = self.spare.pop().unwrap_or_default();
         decode_into(&data, count, &mut records);
@@ -1164,9 +1208,3 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         rpb.min(total - start)
     }
 }
-
-// The latency model must see FIFO service order for sim parity; the
-// engine guarantees it structurally, so any discipline is *executable*,
-// but only FIFO predictions are meaningful.
-#[allow(dead_code)]
-fn _discipline_note(_: QueueDiscipline) {}

@@ -35,7 +35,7 @@ use pm_extsort::plan::MergeTreePlan;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimTime};
-use pm_trace::{EventKind, TraceEvent};
+use pm_trace::{EventKind, RecordingSink, TraceEvent};
 
 use crate::engine::{disk_seed_for, ExecConfig, MergeEngine};
 use crate::ioqueue::IoQueue;
@@ -466,7 +466,8 @@ impl<'p> MultiPassExecutor<'p> {
                     }
                 };
                 engine.load(&mut *queue, &inputs)?;
-                let outcome = engine.execute_metered(queue, metrics)?;
+                let mut trace = RecordingSink::unbounded();
+                let outcome = engine.execute_metered(queue, metrics, &mut trace)?;
                 let prediction = engine.predict(&outcome.depletion)?;
                 if outcome.requests != prediction.requests {
                     return Err(PmError::Tolerance(format!(
@@ -502,7 +503,9 @@ impl<'p> MultiPassExecutor<'p> {
                 if out.scenario.is_none() {
                     out.scenario = Some(cfg);
                 }
-                out.events.extend(outcome.events.iter().map(|ev| TraceEvent {
+                let mut group_events = trace.into_events();
+                group_events.sort_by_key(|e| e.at);
+                out.events.extend(group_events.into_iter().map(|ev| TraceEvent {
                     at: ev.at + pass_elapsed,
                     kind: ev.kind,
                 }));

@@ -145,6 +145,7 @@ impl SharedDeviceSet {
             done: Arc::new(Channel::new()),
             tenant: u32::from(tenant),
             weight: weight.max(1),
+            shares: vec![Vec::new(); self.inner.queues.len()],
         }
     }
 
@@ -180,6 +181,8 @@ pub struct SharedPort {
     done: Arc<Channel<IoCompletion>>,
     tenant: u32,
     weight: u32,
+    /// Per-disk submission scratch: `submit` splits its batch here.
+    shares: Vec<Vec<(IoRequest, PendingIo)>>,
 }
 
 impl SharedPort {
@@ -189,30 +192,28 @@ impl SharedPort {
         self.tenant as u16
     }
 
-    fn submit_one(&mut self, req: IoRequest) {
-        let d = req.req.disk.0 as usize;
-        let io = PendingIo {
-            tenant: self.tenant,
-            weight: self.weight,
-            seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            cost: 1,
-        };
+    /// Moves one disk's share of a batch into its queue under one lock,
+    /// then wakes the disk's worker once the lock is released.
+    fn submit_disk(&mut self, d: usize) {
+        let share = &mut self.shares[d];
         let (queue, cond) = &self.inner.queues[d];
-        let mut q = queue.lock().expect("shared queue poisoned");
-        if q.closed {
-            return;
+        {
+            let mut q = queue.lock().expect("shared queue poisoned");
+            if q.closed {
+                share.clear();
+                return;
+            }
+            let mut sched = self.inner.sched.lock().expect("shared sched poisoned");
+            for (req, io) in share.drain(..) {
+                q.entries.push(Entry {
+                    req,
+                    device: Arc::clone(&self.device),
+                    done: Arc::clone(&self.done),
+                });
+                q.ios.push(io);
+                sched.enqueued(d, &io);
+            }
         }
-        q.entries.push(Entry {
-            req,
-            device: Arc::clone(&self.device),
-            done: Arc::clone(&self.done),
-        });
-        q.ios.push(io);
-        self.inner
-            .sched
-            .lock()
-            .expect("shared sched poisoned")
-            .enqueued(d, &io);
         cond.notify_one();
     }
 }
@@ -248,8 +249,22 @@ impl IoQueue for SharedPort {
     }
 
     fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
-        for &req in reqs {
-            self.submit_one(req);
+        // Sequence numbers are drawn in slice order, then each disk's
+        // share moves under one lock with one wake-up.
+        let first = self.inner.seq.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        for (seq, &req) in (first..).zip(reqs) {
+            let io = PendingIo {
+                tenant: self.tenant,
+                weight: self.weight,
+                seq,
+                cost: 1,
+            };
+            self.shares[req.req.disk.0 as usize].push((req, io));
+        }
+        for d in 0..self.shares.len() {
+            if !self.shares[d].is_empty() {
+                self.submit_disk(d);
+            }
         }
         Ok(())
     }

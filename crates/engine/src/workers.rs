@@ -24,6 +24,12 @@
 //! per-disk bound is the same at any `jobs`. The request queues share
 //! one lock, so a blocked submission waits for room on *any* queue and
 //! fills it; a full worker never holds back the others' requests.
+//!
+//! Every handoff wakes the other side after releasing the lock: on one
+//! CPU a thread woken while the notifier still holds the mutex preempts
+//! it, finds the mutex taken and blocks again, two context switches for
+//! nothing. The exception is a submission that must wait for room,
+//! which wakes the workers first.
 
 use std::collections::VecDeque;
 use std::io;
@@ -76,11 +82,13 @@ impl<T> Channel<T> {
         if items.len() == 0 {
             return;
         }
-        let mut inner = self.lock();
-        if inner.closed {
-            return;
+        {
+            let mut inner = self.lock();
+            if inner.closed {
+                return;
+            }
+            inner.items.extend(items);
         }
-        inner.items.extend(items);
         self.not_empty.notify_one();
     }
 
@@ -164,8 +172,11 @@ impl Requests {
 
     /// Moves every worker's share into its queue, front first, blocking
     /// only while no worker with requests left has room. Shares are
-    /// left empty; requests are lost after `close`.
-    fn submit(&self, shares: &mut [Vec<IoRequest>]) {
+    /// left empty; requests are lost after `close`. `woken` (one flag
+    /// per worker, all clear) marks who got requests; they are woken
+    /// once the lock is released, and the flags are clear again on
+    /// return.
+    fn submit(&self, shares: &mut [Vec<IoRequest>], woken: &mut [bool]) {
         let mut state = self.lock();
         loop {
             let mut left = false;
@@ -176,15 +187,29 @@ impl Requests {
                     .min(share.len());
                 if n > 0 {
                     queue.extend(share.drain(..n));
-                    self.ready[w].notify_one();
+                    woken[w] = true;
                 }
                 left |= !share.is_empty();
             }
             if !left || state.closed {
                 shares.iter_mut().for_each(Vec::clear);
-                return;
+                break;
             }
+            // Backpressure: the workers must run to make room, so wake
+            // them before waiting.
+            self.wake(woken);
             state = self.room.wait(state).expect("request queues poisoned");
+        }
+        drop(state);
+        self.wake(woken);
+    }
+
+    /// Wakes every worker flagged in `woken` and clears the flags.
+    fn wake(&self, woken: &mut [bool]) {
+        for (ready, flag) in self.ready.iter().zip(woken) {
+            if std::mem::take(flag) {
+                ready.notify_one();
+            }
         }
     }
 
@@ -199,6 +224,7 @@ impl Requests {
             state = self.ready[w].wait(state).expect("request queues poisoned");
         }
         out.extend(state.queues[w].drain(..));
+        drop(state);
         self.room.notify_one();
         true
     }
@@ -212,8 +238,10 @@ impl Requests {
 
 struct Running {
     requests: Arc<Requests>,
-    /// Per-worker submission scratch: `submit` splits its slice here.
+    /// Per-worker submission scratch: `submit` splits its slice here
+    /// and flags the workers it has to wake.
     shares: Vec<Vec<IoRequest>>,
+    woken: Vec<bool>,
     completions: Arc<Channel<IoCompletion>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -373,6 +401,7 @@ impl IoQueue for ThreadedQueue {
             .collect();
         self.running = Some(Running {
             shares: vec![Vec::new(); workers],
+            woken: vec![false; workers],
             requests,
             completions,
             handles,
@@ -389,7 +418,7 @@ impl IoQueue for ThreadedQueue {
         for &req in reqs {
             running.shares[req.req.disk.0 as usize % workers].push(req);
         }
-        running.requests.submit(&mut running.shares);
+        running.requests.submit(&mut running.shares, &mut running.woken);
         Ok(())
     }
 

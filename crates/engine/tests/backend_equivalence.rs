@@ -5,7 +5,9 @@
 //! backends — across `jobs` values — must produce byte-identical merged
 //! output, the identical per-disk block-request sequences, the identical
 //! depletion sequence, and identical decision counters. This is the gate
-//! the CI engine-smoke job builds on.
+//! the CI engine-smoke job builds on. Tracing is held to the same
+//! standard: a traced run must make exactly the untraced run's
+//! decisions.
 
 mod common;
 
@@ -13,7 +15,7 @@ use pm_core::{AdmissionPolicy, DataLayout, MergeConfig, PrefetchChoice, Scenario
 
 use common::{
     assert_sorted_output, engine_custom, engine_for, form_runs, run_file, run_file_direct,
-    run_memory, RPB_ALIGNED,
+    run_memory, run_memory_traced, RPB_ALIGNED,
 };
 
 /// The scenario matrix: strategy × admission × choice × layout × sync
@@ -199,18 +201,76 @@ fn trace_events_cover_every_request() {
     let runs = form_runs(2000, 250, 5);
     let cfg = ScenarioBuilder::new(8, 2).inter(4).seed(23).build().unwrap();
     let engine = engine_for(cfg, &runs, 0);
-    let outcome = run_memory(&engine, &runs, 2);
-    let issues = outcome
-        .events
+    let (outcome, events) = run_memory_traced(&engine, &runs, 2);
+    let issues = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::DiskIssue { .. }))
         .count() as u64;
-    let transfers = outcome
-        .events
+    let transfers = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::DiskTransferDone { .. }))
         .count() as u64;
     let total: u64 = outcome.report.per_disk_requests.iter().sum();
     assert_eq!(issues, total);
     assert_eq!(transfers, total);
+}
+
+#[test]
+fn traced_runs_decide_exactly_like_untraced_runs() {
+    // The untraced entry point compiles tracing out; a recording sink
+    // must observe the merge without changing a single decision, and
+    // must see every block issued, transferred and depleted once.
+    use pm_core::EventKind;
+    use pm_trace::unpack_tag;
+
+    let runs = form_runs(3000, 400, 37);
+    for (name, cfg) in scenarios() {
+        let disks = cfg.disks as usize;
+        let engine = engine_for(cfg, &runs, 0);
+        let plain = run_memory(&engine, &runs, disks);
+        let (traced, events) = run_memory_traced(&engine, &runs, disks);
+        assert_eq!(traced.output, plain.output, "{name}: output");
+        assert_eq!(traced.depletion, plain.depletion, "{name}: depletion");
+        assert_eq!(traced.requests, plain.requests, "{name}: request sequences");
+        let (a, b) = (&traced.report, &plain.report);
+        assert_eq!(a.blocks_merged, b.blocks_merged, "{name}");
+        assert_eq!(a.records_merged, b.records_merged, "{name}");
+        assert_eq!(a.demand_ops, b.demand_ops, "{name}");
+        assert_eq!(a.fallback_ops, b.fallback_ops, "{name}");
+        assert_eq!(a.full_prefetch_ops, b.full_prefetch_ops, "{name}");
+        assert_eq!(a.success_ratio, b.success_ratio, "{name}");
+        assert_eq!(a.per_disk_requests, b.per_disk_requests, "{name}");
+        assert_eq!(a.per_disk_sequential, b.per_disk_sequential, "{name}");
+        assert_eq!(a.per_disk_modeled_busy, b.per_disk_modeled_busy, "{name}");
+
+        // Every (run, block) of the data, once each.
+        let mut every_block: Vec<(u32, u32)> = engine
+            .run_blocks()
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &n)| (0..n).map(move |b| (r as u32, b)))
+            .collect();
+        every_block.sort_unstable();
+        let blocks_of = |pick: fn(&EventKind) -> Option<(u32, u32)>| {
+            let mut seen: Vec<(u32, u32)> = events.iter().filter_map(|e| pick(&e.kind)).collect();
+            seen.sort_unstable();
+            seen
+        };
+        let issued = blocks_of(|k| match *k {
+            EventKind::DiskIssue { tag, .. } => Some(unpack_tag(tag)),
+            _ => None,
+        });
+        let transferred = blocks_of(|k| match *k {
+            EventKind::DiskTransferDone { tag, .. } => Some(unpack_tag(tag)),
+            _ => None,
+        });
+        let consumed = blocks_of(|k| match *k {
+            EventKind::CpuConsume { run, block } => Some((run, block)),
+            _ => None,
+        });
+        assert_eq!(issued, every_block, "{name}: one DiskIssue per block");
+        assert_eq!(transferred, every_block, "{name}: one DiskTransferDone per block");
+        assert_eq!(consumed, every_block, "{name}: one CpuConsume per depleted block");
+        assert_eq!(consumed.len(), plain.depletion.len(), "{name}");
+    }
 }

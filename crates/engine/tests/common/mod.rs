@@ -8,6 +8,8 @@ use std::path::PathBuf;
 use pm_core::MergeConfig;
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, ThreadedQueue};
 use pm_extsort::{generate, run_formation, Record};
+use pm_metrics::NullMetrics;
+use pm_trace::{RecordingSink, TraceEvent};
 
 /// Records per on-device block the tests use throughout.
 pub const RPB: u32 = 20;
@@ -58,6 +60,24 @@ pub fn run_memory(engine: &MergeEngine, runs: &[Vec<Record>], disks: usize) -> E
     let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), engine.queue_options());
     engine.load(&mut queue, runs).expect("load");
     engine.execute(Box::new(queue)).expect("execute")
+}
+
+/// [`run_memory`] with a recording trace sink: the outcome plus the
+/// recorded events, stably sorted by timestamp.
+pub fn run_memory_traced(
+    engine: &MergeEngine,
+    runs: &[Vec<Record>],
+    disks: usize,
+) -> (ExecOutcome, Vec<TraceEvent>) {
+    let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), engine.queue_options());
+    engine.load(&mut queue, runs).expect("load");
+    let mut trace = RecordingSink::unbounded();
+    let outcome = engine
+        .execute_metered(Box::new(queue), &NullMetrics, &mut trace)
+        .expect("execute");
+    let mut events = trace.into_events();
+    events.sort_by_key(|e| e.at);
+    (outcome, events)
 }
 
 /// Loads + executes on the file backend under a fresh temp directory,

@@ -8,12 +8,14 @@
 //! a single-worker depth-1 [`ThreadedQueue`] anchors the regression
 //! comparison against the default queue; parked workers show the
 //! per-disk submission bound and that one full worker does not hold
-//! back the others; and the O_DIRECT alignment precondition must fail
-//! loudly, not corrupt.
+//! back the others; thousands of single-request round trips under a
+//! watchdog catch a lost wake-up at any handoff; and the O_DIRECT
+//! alignment precondition must fail loudly, not corrupt.
 
 mod common;
 
 use std::io;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -21,7 +23,7 @@ use pm_core::ScenarioBuilder;
 use pm_disk::{BlockAddr, DiskId, DiskRequest};
 use pm_engine::{
     BlockDevice, ExecOutcome, IoCompletion, IoQueue, IoRequest, MemoryDevice, MergeEngine,
-    QueueOptions, ThreadedQueue, DIRECT_ALIGN,
+    QueueOptions, SharedDeviceSet, ThreadedQueue, DIRECT_ALIGN,
 };
 use pm_extsort::Record;
 use proptest::prelude::*;
@@ -400,6 +402,111 @@ fn a_full_worker_does_not_hold_back_the_other_workers() {
     );
     assert_eq!(reap_all(&mut queue, 4), vec![0, 1, 2, 3]);
     queue.shutdown().unwrap();
+}
+
+/// Disks and blocks per disk of the round-trip device; block `b` of
+/// disk `d` holds the byte `d * TRIP_BLOCKS + b`.
+const TRIP_DISKS: u16 = 4;
+const TRIP_BLOCKS: u64 = 8;
+const TRIPS: u64 = 10_000;
+
+fn trip_device() -> MemoryDevice {
+    let mut device = MemoryDevice::new(TRIP_DISKS as usize, 16);
+    for d in 0..TRIP_DISKS {
+        for b in 0..TRIP_BLOCKS {
+            let byte = (u64::from(d) * TRIP_BLOCKS + b) as u8;
+            device.write_block(DiskId(d), BlockAddr(b), &[byte; 16]).unwrap();
+        }
+    }
+    device
+}
+
+/// Submits [`TRIPS`] single requests over an opened `queue`, one at a
+/// time, each waited for with `complete(_, 1)` before the next: every
+/// handoff in both directions happens with nothing else in flight, so
+/// a lost wake-up hangs. Every tag must come back exactly once, with
+/// its own block.
+fn round_trips(queue: &mut dyn IoQueue) {
+    let mut out = Vec::with_capacity(1);
+    for i in 0..TRIPS {
+        let (d, b) = ((i % u64::from(TRIP_DISKS)) as u16, (i / 4) % TRIP_BLOCKS);
+        let req = IoRequest {
+            req: DiskRequest {
+                disk: DiskId(d),
+                start: BlockAddr(b),
+                len: 1,
+                sequential_hint: false,
+                tag: i,
+            },
+            span: i,
+            submitted: Instant::now(),
+        };
+        queue.submit(&[req]).unwrap();
+        assert_eq!(queue.complete(&mut out, 1).unwrap(), 1, "round trip {i}");
+        let done = out.pop().unwrap();
+        assert_eq!(done.tag, i, "round trip {i} got another request's completion");
+        let byte = u64::from(done.data.unwrap()[0]);
+        assert_eq!(byte, u64::from(d) * TRIP_BLOCKS + b, "round trip {i} read the wrong block");
+    }
+    assert_eq!(queue.complete(&mut out, 0).unwrap(), 0, "a tag came back twice");
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// finished within 30 s: a lost wake-up fails instead of hanging.
+fn with_watchdog(case: &str, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(30)) {
+        Ok(()) => worker.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{case}: round trips stalled for 30 s (lost wake-up)")
+        }
+    }
+}
+
+#[test]
+fn single_request_round_trips_never_lose_a_wake_up() {
+    for jobs in [1usize, 2, 0] {
+        with_watchdog(&format!("threaded jobs={jobs}"), move || {
+            let opts = QueueOptions {
+                depth: 1,
+                jobs,
+                time_scale: 1.0,
+            };
+            let mut queue = ThreadedQueue::over(Arc::new(trip_device()), "trips", opts);
+            queue.open(Instant::now()).unwrap();
+            round_trips(&mut queue);
+            queue.shutdown().unwrap();
+        });
+    }
+    with_watchdog("shared set, two ports", || {
+        let sched = pm_service::sched_by_name("fifo").unwrap();
+        let mut set = SharedDeviceSet::start(TRIP_DISKS as usize, 2, sched, 1.0);
+        let device: Arc<dyn BlockDevice> = Arc::new(trip_device());
+        let ports: Vec<_> = (0..2).map(|_| set.port(Arc::clone(&device), 1)).collect();
+        let tenants: Vec<_> = ports
+            .into_iter()
+            .map(|mut port| {
+                std::thread::spawn(move || {
+                    port.open(Instant::now()).unwrap();
+                    round_trips(&mut port);
+                    port.shutdown().unwrap();
+                })
+            })
+            .collect();
+        for tenant in tenants {
+            tenant.join().unwrap();
+        }
+        set.shutdown();
+    });
 }
 
 #[test]
