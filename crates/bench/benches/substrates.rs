@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks of the substrate crates: the event list, the
-//! random generator, single-disk service, and the loser tree.
+//! random generator, single-disk service, and the loser tree (over `u64`
+//! heads, and over `Record` runs at several fan-ins and key spreads).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
 use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
 use pm_core::LoserTree;
-use pm_extsort::{external_sort, generate, ExtSortConfig, RunFormation};
+use pm_extsort::{external_sort, generate, run_formation, ExtSortConfig, Record, RunFormation};
 use pm_sim::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
 
@@ -98,6 +99,41 @@ fn loser_tree(c: &mut Criterion) {
     });
 }
 
+/// Records per `Record` merge; divisible by every fan-in below.
+const MERGE_RECORDS: usize = 240_000;
+
+/// `k` sorted runs of `Record`s merged through the tree, the kernel of
+/// the engine's merge loop: on uniform keys (prefixes almost never tie)
+/// and on 16 distinct keys (most matches fall back to the full compare).
+fn loser_tree_records(c: &mut Criterion) {
+    let inputs = [
+        ("uniform", generate::uniform(MERGE_RECORDS, 11)),
+        ("few16", generate::few_distinct(MERGE_RECORDS, 16, 11)),
+    ];
+    for k in [8, 20, 64] {
+        for (name, input) in &inputs {
+            let runs = run_formation::load_sort(input, MERGE_RECORDS / k);
+            assert_eq!(runs.len(), k);
+            let mut out: Vec<Record> = Vec::with_capacity(MERGE_RECORDS);
+            c.bench_function(&format!("extsort/loser_tree_record_k{k}_{name}"), |b| {
+                b.iter(|| {
+                    out.clear();
+                    let mut cursors: Vec<std::slice::Iter<'_, Record>> =
+                        runs.iter().map(|r| r.iter()).collect();
+                    let heads = cursors.iter_mut().map(|c| c.next().copied()).collect();
+                    let mut tree = LoserTree::new(heads);
+                    while let Some((src, _)) = tree.winner() {
+                        let next = cursors[src].next().copied();
+                        let (_, rec) = tree.pop_and_replace(next).expect("winner exists");
+                        out.push(rec);
+                    }
+                    black_box(out.len())
+                });
+            });
+        }
+    }
+}
+
 fn extsort_pipeline(c: &mut Criterion) {
     c.bench_function("extsort/full_pipeline_100k_records", |b| {
         let input = generate::uniform(100_000, 5);
@@ -119,6 +155,6 @@ fn markov(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = event_queue, rng, disk_service, loser_tree, extsort_pipeline, markov
+    targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, extsort_pipeline, markov
 }
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! prefetch operations, admission decisions, and AIMD depth adaptation
 //! as [`pm_core::MergeSim`], but where the simulator advances a virtual
 //! clock, the engine submits requests to per-disk I/O worker threads and
-//! merges real records through the pm-extsort loser tree.
+//! merges real records through [`pm_core::LoserTree`].
 //!
 //! ## Decision parity with the simulator
 //!
@@ -62,8 +62,7 @@ use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimRng, SimTime};
 use pm_trace::{
-    pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, NullSink, RecordingSink, TraceEvent,
-    TraceSink,
+    pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink,
 };
 
 use crate::block::{block_bytes, decode_into, encode_records};
@@ -484,22 +483,32 @@ impl MergeEngine {
     pub fn predict(&self, depletion: &[RunId]) -> Result<EnginePrediction, PmError> {
         let sim = MergeSim::with_run_lengths(self.merge, &self.run_blocks)
             .map_err(PmError::Config)?
-            .replace_sink(RecordingSink::unbounded());
+            .replace_sink(IssueLog {
+                requests: vec![Vec::new(); self.merge.disks as usize],
+            });
         let mut model = TraceDepletion::new(depletion.to_vec());
-        let (report, sink) = sim.run_with_sink(&mut model);
-        let mut requests = vec![Vec::new(); self.merge.disks as usize];
-        for ev in sink.into_events() {
-            if let EventKind::DiskIssue {
-                disk,
-                output: false,
-                tag,
-                ..
-            } = ev.kind
-            {
-                requests[disk as usize].push(unpack_tag(tag));
-            }
-        }
+        let (report, IssueLog { requests }) = sim.run_with_sink(&mut model);
         Ok(EnginePrediction { report, requests })
+    }
+}
+
+/// The sink [`MergeEngine::predict`] replays through: keeps only each
+/// input-side issue's `(run, block)`, per disk, in issue order.
+struct IssueLog {
+    requests: Vec<Vec<(u32, u32)>>,
+}
+
+impl TraceSink for IssueLog {
+    fn emit(&mut self, event: TraceEvent) {
+        if let EventKind::DiskIssue {
+            disk,
+            output: false,
+            tag,
+            ..
+        } = event.kind
+        {
+            self.requests[disk as usize].push(unpack_tag(tag));
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! disk array, this crate executes the *same decision procedure* —
 //! initial load, demand fetches, inter-run prefetch operations,
 //! admission, AIMD depth adaptation — against an [`IoQueue`] with
-//! batched submission and completion, merging real records through the
-//! pm-extsort loser tree.
+//! batched submission and completion, merging real records through
+//! [`pm_core::LoserTree`].
 //!
 //! The engine talks to storage through the [`IoQueue`] trait (batched
 //! submit/complete, explicit open and depth negotiation). Queues:

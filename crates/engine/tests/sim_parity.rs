@@ -12,9 +12,11 @@
 mod common;
 
 use pm_core::{
-    AdmissionPolicy, MergeConfig, PrefetchChoice, QueueDiscipline, ScenarioBuilder,
+    AdmissionPolicy, MergeConfig, MergeSim, PrefetchChoice, QueueDiscipline, ScenarioBuilder,
+    TraceDepletion,
 };
 use pm_engine::{disk_seed_for, ThreadedQueue};
+use pm_trace::{unpack_tag, EventKind, RecordingSink};
 
 use common::{engine_for, form_runs, run_memory};
 
@@ -72,6 +74,39 @@ fn simulator_rederives_engine_request_sequences() {
         assert_eq!(e.full_prefetch_ops, s.full_prefetch_ops, "{name}");
         let total: u64 = e.per_disk_requests.iter().sum();
         assert_eq!(total, s.disk_requests, "{name}");
+    }
+}
+
+/// `predict` keeps only the input-side issues as the simulator emits
+/// them; the answer must equal recording every event of the same replay
+/// and extracting the issues afterwards.
+#[test]
+fn prediction_equals_a_fully_recorded_replay() {
+    let runs = form_runs(4000, 500, 18);
+    for (name, cfg) in parity_scenarios() {
+        let engine = engine_for(cfg, &runs, 0);
+        let outcome = run_memory(&engine, &runs, cfg.disks as usize);
+        let prediction = engine.predict(&outcome.depletion).expect("predict");
+
+        let sim = MergeSim::with_run_lengths(*engine.merge_config(), engine.run_blocks())
+            .expect("valid config")
+            .replace_sink(RecordingSink::unbounded());
+        let mut model = TraceDepletion::new(outcome.depletion.clone());
+        let (report, sink) = sim.run_with_sink(&mut model);
+        let mut requests = vec![Vec::new(); cfg.disks as usize];
+        for ev in sink.into_events() {
+            if let EventKind::DiskIssue {
+                disk,
+                output: false,
+                tag,
+                ..
+            } = ev.kind
+            {
+                requests[disk as usize].push(unpack_tag(tag));
+            }
+        }
+        assert_eq!(prediction.requests, requests, "{name}: request sequences");
+        assert_eq!(prediction.report, report, "{name}: reports");
     }
 }
 

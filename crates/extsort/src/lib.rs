@@ -13,7 +13,9 @@
 //!   runs, as the paper's setup assumes) and replacement selection
 //!   (≈ `2M` average run length on random input; Knuth vol. 3 §5.4.1).
 //! * [`pm_core::LoserTree`] — the classic tournament tree used for the
-//!   `k`-way merge, `O(log k)` per record.
+//!   `k`-way merge, `O(log k)` per record; [`Record`] implements
+//!   [`pm_core::KeyPrefix`] with its key, so most matches are one `u64`
+//!   compare.
 //! * [`multipass`] — multi-pass merge planning (sequential and `F`-ary
 //!   Huffman) with pass-by-pass simulation, for merges whose order exceeds
 //!   the cache-supported fan-in.

@@ -34,6 +34,14 @@ impl PartialOrd for Record {
     }
 }
 
+/// The key is the prefix: records order by key first.
+impl pm_core::KeyPrefix for Record {
+    #[inline(always)]
+    fn key_prefix(&self) -> u64 {
+        self.key
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -128,8 +128,7 @@ pub fn external_sort(input: &[Record], cfg: &ExtSortConfig) -> SortOutcome {
     let mut output = Vec::with_capacity(input.len());
     let mut consumed = vec![0usize; run_lengths.len()];
     let mut trace = Vec::new();
-    while tree.winner().is_some() {
-        let src_peek = tree.winner().map(|(s, _)| s).expect("winner exists");
+    while let Some((src_peek, _)) = tree.winner() {
         let next = iters[src_peek].next();
         let (src, record) = tree.pop_and_replace(next).expect("non-empty tree");
         output.push(record);

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pm_extsort::multipass::{plan_huffman, plan_sequential};
-use pm_core::LoserTree;
+use pm_core::{KeyPrefix, LoserTree};
 use pm_extsort::{external_sort, run_formation, ExtSortConfig, Record, RunFormation};
 
 fn records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
@@ -108,6 +108,104 @@ proptest! {
             merged.push(v);
         }
         prop_assert_eq!(merged, expected);
+    }
+}
+
+/// Checks the `KeyPrefix` law on one pair: a lower prefix means a lower
+/// item, and equal items have equal prefixes.
+fn check_prefix_law<T: KeyPrefix + std::fmt::Debug>(a: &T, b: &T) -> Result<(), TestCaseError> {
+    let (pa, pb) = (a.key_prefix(), b.key_prefix());
+    prop_assert!(pa >= pb || a < b, "{a:?} < {b:?} by prefix but not by Ord");
+    prop_assert!(pb >= pa || b < a, "{b:?} < {a:?} by prefix but not by Ord");
+    if a == b {
+        prop_assert_eq!(pa, pb);
+    }
+    Ok(())
+}
+
+/// Integers whose pairs often straddle zero and the type's ends.
+fn edgy_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![any::<i64>(), -3i64..3, Just(i64::MIN), Just(i64::MAX)]
+}
+
+fn edgy_i32() -> impl Strategy<Value = i32> {
+    prop_oneof![any::<i32>(), -3i32..3, Just(i32::MIN), Just(i32::MAX)]
+}
+
+fn edgy_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..3, Just(u64::MAX - 1), Just(u64::MAX)]
+}
+
+proptest! {
+    /// Heads whose keys are only 0, 1 and `u64::MAX` tie on the prefix
+    /// in almost every match, and a live `u64::MAX` key ties with an
+    /// exhausted source. The pop sequence must still be the stable sort
+    /// of every `(source, record)` by record, then source index.
+    #[test]
+    fn loser_tree_with_tied_prefixes_pops_in_stable_order(
+        sources in prop::collection::vec(prop::collection::vec(0usize..3, 0..20), 1..12),
+    ) {
+        const KEYS: [u64; 3] = [0, 1, u64::MAX];
+        let mut next_rid = 0u64;
+        let runs: Vec<Vec<Record>> = sources
+            .into_iter()
+            .map(|keys| {
+                let mut run: Vec<Record> = keys
+                    .into_iter()
+                    .map(|k| {
+                        // Descending rids, so each run's sort reorders them.
+                        next_rid += 1;
+                        Record::new(KEYS[k], u64::MAX - next_rid)
+                    })
+                    .collect();
+                run.sort();
+                run
+            })
+            .collect();
+        let mut expected: Vec<(usize, Record)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(src, run)| run.iter().map(move |&r| (src, r)))
+            .collect();
+        expected.sort_by_key(|&(src, r)| (r, src));
+
+        let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+        let heads: Vec<Option<Record>> = iters.iter_mut().map(Iterator::next).collect();
+        let mut tree = LoserTree::new(heads);
+        let mut popped = Vec::new();
+        while let Some(src) = tree.winner().map(|(s, _)| s) {
+            let next = iters[src].next();
+            popped.push(tree.pop_and_replace(next).unwrap());
+        }
+        prop_assert_eq!(popped, expected);
+    }
+
+    /// `Record`'s prefix (its key) keeps the law, including across
+    /// records that share a key.
+    #[test]
+    fn record_prefix_keeps_the_law(
+        ka in edgy_u64(), kb in edgy_u64(), ra in 0u64..4, rb in 0u64..4,
+    ) {
+        let (a, b) = (Record::new(ka, ra), Record::new(kb, rb));
+        check_prefix_law(&a, &b)?;
+        check_prefix_law(&a, &Record::new(ka, rb))?;
+    }
+
+    /// The integer prefixes are order-embeddings: they compare exactly
+    /// like the integers.
+    #[test]
+    fn integer_prefixes_keep_the_law(
+        u in (edgy_u64(), edgy_u64()),
+        s in (edgy_i64(), edgy_i64()),
+        t in (edgy_i32(), edgy_i32()),
+    ) {
+        let ((u1, u2), (s1, s2), (t1, t2)) = (u, s, t);
+        check_prefix_law(&u1, &u2)?;
+        check_prefix_law(&s1, &s2)?;
+        check_prefix_law(&t1, &t2)?;
+        prop_assert_eq!(u1.cmp(&u2), u1.key_prefix().cmp(&u2.key_prefix()));
+        prop_assert_eq!(s1.cmp(&s2), s1.key_prefix().cmp(&s2.key_prefix()));
+        prop_assert_eq!(t1.cmp(&t2), t1.key_prefix().cmp(&t2.key_prefix()));
     }
 }
 
