@@ -153,7 +153,7 @@ impl BlockCache {
         true
     }
 
-    /// [`BlockCache::try_reserve_all`] over [`PrefetchGroup`]s directly,
+    /// [`BlockCache::try_reserve_all`] over [`PrefetchGroup`](crate::PrefetchGroup)s directly,
     /// so admission policies need not repack the request into pairs —
     /// this is the allocation-free path the simulator's demand loop uses.
     #[must_use]

@@ -27,7 +27,7 @@ pub struct MetricsArgs {
 
 impl MetricsArgs {
     /// Reads `--metrics-out` / `--metrics-interval ms`. Absent
-    /// `--metrics-out` means metrics stay compiled out ([`Ok(None)`]);
+    /// `--metrics-out` means metrics stay compiled out (`Ok(None)`);
     /// `--metrics-interval` without it is a usage error.
     pub fn from_args(args: &Args) -> Result<Option<MetricsArgs>, PmError> {
         let interval_ms: u64 = args.get_parsed("metrics-interval", 0u64)?;

@@ -34,6 +34,10 @@
 //! [`run_trials`] for averaged repetitions, [`run_trials_parallel`] to
 //! fan the trials over a worker pool with bit-identical results).
 //! Results come back as a [`MergeReport`].
+//!
+//! The decision procedure itself is [`MergeDriver`], a state machine
+//! that does no I/O: the simulator plays its decisions out on a virtual
+//! clock, and the real-I/O engine (pm-engine) against a block device.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +45,7 @@
 mod builder;
 mod config;
 mod depletion;
+mod driver;
 mod error;
 mod layout;
 mod loser_tree;
@@ -57,6 +62,7 @@ pub use builder::ScenarioBuilder;
 pub use config::{ConfigError, DataLayout, MergeConfig};
 pub use error::PmError;
 pub use depletion::{DepletionModel, SkewedDepletion, TraceDepletion, UniformDepletion};
+pub use driver::{BlockIssue, MergeDriver, Step};
 pub use layout::{RunLayout, RunPlacement};
 pub use loser_tree::{KeyPrefix, LoserTree};
 pub use metrics::MergeReport;

@@ -1,15 +1,16 @@
-//! The merge-phase discrete-event simulation.
+//! The merge-phase discrete-event simulation: the [`MergeDriver`]'s
+//! decisions played out on a virtual clock against a modeled
+//! [`DiskArray`].
 
-use pm_cache::{BlockCache, PrefetchGroup, RunId};
+use pm_cache::RunId;
 use pm_disk::{DiskArray, DiskId, DiskRequest};
-use pm_sim::{Executive, SimDuration, SimRng, SimTime};
-use pm_trace::{EventKind, NullSink, OutputSide, RecordingSink, TraceEvent, TraceSink};
+use pm_sim::{Executive, SimDuration, SimTime};
+use pm_trace::{NullSink, OutputSide, RecordingSink, TraceSink};
 
+use crate::driver::{BlockIssue, MergeDriver, Step};
 use crate::timeline::Timeline;
 use crate::write::Writer;
-use crate::{
-    ConfigError, DepletionModel, MergeConfig, MergeReport, RunLayout, SyncMode, UniformDepletion,
-};
+use crate::{ConfigError, DepletionModel, MergeConfig, MergeReport, UniformDepletion};
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,40 +21,6 @@ enum Event {
     WriteDone(DiskId),
     /// The CPU is ready to deplete the next block.
     CpuStep,
-}
-
-/// What the merge is stalled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Gate {
-    /// Initial load: `first_missing` runs still lack their leading block;
-    /// `blocks_remaining` initial blocks are still in flight (synchronized
-    /// mode waits for all of them).
-    Startup {
-        first_missing: u32,
-        blocks_remaining: u64,
-    },
-    /// Synchronized operation: `remaining` blocks still in flight.
-    SyncOp { remaining: u32 },
-    /// Unsynchronized wait for the next block of the depleted run (the
-    /// demand block, or the next in-flight block). The gate matches on the
-    /// run, not a block index: under FIFO disks the next arrival of the
-    /// run *is* the needed block, and under reordering disciplines
-    /// (SSTF/LOOK) any arrival gives the run a resident block, which is
-    /// what the counting-cache merge model requires.
-    Block { run: RunId },
-    /// The output buffer is full; waiting for a write to complete.
-    WriteSpace,
-}
-
-/// Per-run fetch/depletion progress.
-#[derive(Debug, Clone, Copy)]
-struct RunProgress {
-    /// Blocks in the run.
-    total: u32,
-    /// Next block index to issue to disk.
-    next_fetch: u32,
-    /// Blocks consumed by the merge.
-    depleted: u32,
 }
 
 /// Time-weighted busy-disk accounting.
@@ -97,93 +64,31 @@ impl BusyTracker {
 /// [`MergeSim::run_with_sink`] to capture the event stream. Sinks are
 /// observe-only, so a traced run is bit-identical to an untraced one.
 pub struct MergeSim<S: TraceSink = NullSink> {
-    cfg: MergeConfig,
-    /// Hot-path constants derived from `cfg` (see [`HotDispatch`]).
-    hot: HotDispatch,
-    exec: Executive<Event>,
-    disks: DiskArray,
-    cache: BlockCache,
-    layout: RunLayout,
-    rng: SimRng,
-    runs: Vec<RunProgress>,
-    /// Runs with undepleted blocks. `live_pos[r]` is the run's index here.
-    live: Vec<RunId>,
-    live_pos: Vec<usize>,
-    /// Runs with unfetched blocks, per disk (prefetch candidates).
-    fetchable: Vec<Vec<RunId>>,
-    fetchable_pos: Vec<usize>,
-    gate: Option<Gate>,
-    cpu_free_at: SimTime,
-    cpu_scheduled: bool,
-    /// Current per-operation depth (fixed strategies keep it constant;
-    /// the adaptive strategy moves it by AIMD on admission outcomes).
-    current_depth: u32,
-    /// Scratch buffers reused across demand operations so the steady-state
-    /// hot path performs zero heap allocations: desired prefetch groups,
-    /// the groups the admission policy accepted, and (under `per_run_cap`)
-    /// the filtered candidate list. Cleared before each use; capacity
-    /// settles at ≤ D+1 groups / ≤ runs-per-disk candidates.
-    scratch_groups: Vec<PrefetchGroup>,
-    scratch_admitted: Vec<PrefetchGroup>,
-    scratch_candidates: Vec<RunId>,
-    writer: Option<Writer>,
-    /// All blocks merged; waiting only for the write drain.
-    cpu_done: bool,
-    // Metrics.
-    busy: BusyTracker,
-    expected_blocks: u64,
-    blocks_merged: u64,
-    demand_ops: u64,
-    fallback_ops: u64,
-    full_prefetch_ops: u64,
-    cpu_stall: SimDuration,
-    finished_at: Option<SimTime>,
+    state: SimState,
     sink: S,
 }
 
-const DEAD: usize = usize::MAX;
-
-/// Configuration answers the steady state re-asks per block or per
-/// operation, resolved once at build time. Everything here is a pure
-/// function of [`MergeConfig`], so precomputing it cannot change a
-/// decision — it only removes per-block matches from the hot path.
-#[derive(Clone, Copy)]
-struct HotDispatch {
-    /// `cfg.strategy.is_inter_run()`.
-    inter_run: bool,
+/// Everything of a simulation but its sink.
+struct SimState {
+    cfg: MergeConfig,
     /// `cfg.cpu_per_block.is_zero()` — the infinitely-fast-CPU short
     /// circuit taken once per merged block.
     cpu_is_free: bool,
-    /// `cfg.admission == Greedy` — whether the non-demand groups of an
-    /// inter-run operation are shuffled before prefix admission.
-    greedy_shuffle: bool,
-    /// `cfg.strategy.adaptive_bounds()` — AIMD bounds of the adaptive
-    /// strategy, applied after every inter-run admission.
-    adaptive_bounds: Option<(u32, u32)>,
-    /// `cfg.prefetch_choice`, matched once per candidate group instead of
-    /// once per candidate.
-    choice: crate::PrefetchChoice,
-}
-
-impl HotDispatch {
-    fn from_cfg(cfg: &MergeConfig) -> Self {
-        HotDispatch {
-            inter_run: cfg.strategy.is_inter_run(),
-            cpu_is_free: cfg.cpu_per_block.is_zero(),
-            greedy_shuffle: cfg.admission == pm_cache::AdmissionPolicy::Greedy,
-            adaptive_bounds: cfg.strategy.adaptive_bounds(),
-            choice: cfg.prefetch_choice,
-        }
-    }
-}
-
-fn tag_of(run: RunId, index: u32) -> u64 {
-    pm_trace::pack_tag(run.0, index)
-}
-
-fn untag(tag: u64) -> (RunId, u32) {
-    let (run, index) = pm_trace::unpack_tag(tag);
-    (RunId(run), index)
+    exec: Executive<Event>,
+    disks: DiskArray,
+    driver: MergeDriver,
+    /// The reads the driver decided at the current step, to submit.
+    issues: Vec<BlockIssue>,
+    writer: Option<Writer>,
+    /// The output buffer is full: the CPU waits for a write to complete.
+    write_blocked: bool,
+    cpu_free_at: SimTime,
+    cpu_scheduled: bool,
+    /// All blocks merged; waiting only for the write drain.
+    cpu_done: bool,
+    busy: BusyTracker,
+    cpu_stall: SimDuration,
+    finished_at: Option<SimTime>,
 }
 
 impl MergeSim {
@@ -194,8 +99,7 @@ impl MergeSim {
     /// Returns the configuration's [`ConfigError`] if it is inconsistent.
     pub fn new(cfg: MergeConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let lengths = vec![cfg.run_blocks; cfg.runs as usize];
-        Ok(Self::build(cfg, &lengths))
+        Self::with_run_lengths(cfg, &vec![cfg.run_blocks; cfg.runs as usize])
     }
 
     /// Builds a simulation whose runs have the given (possibly different)
@@ -204,110 +108,35 @@ impl MergeSim {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the configuration is inconsistent or
-    /// the cache cannot hold the initial load of
-    /// `Σ min(N, length_r)` blocks.
-    pub fn with_run_lengths(mut cfg: MergeConfig, lengths: &[u32]) -> Result<Self, ConfigError> {
-        if lengths.is_empty() || lengths.contains(&0) {
-            return Err(ConfigError::ZeroParameter("run lengths"));
-        }
-        cfg.runs = lengths.len() as u32;
-        // Validate against the longest run; per-disk capacity is checked
-        // precisely by the layout below.
-        cfg.run_blocks = *lengths.iter().max().expect("non-empty");
-        cfg.validate()?;
-        let depth = cfg.strategy.depth();
-        let need: u64 = lengths.iter().map(|&l| u64::from(depth.min(l))).sum();
-        if u64::from(cfg.cache_blocks) < need {
-            return Err(ConfigError::CacheTooSmall {
-                have: cfg.cache_blocks,
-                need: need as u32,
-            });
-        }
-        Ok(Self::build(cfg, lengths))
-    }
-
-    fn build(cfg: MergeConfig, lengths: &[u32]) -> Self {
-        let layout = match cfg.layout {
-            crate::DataLayout::Concatenated => {
-                RunLayout::contiguous_lengths(lengths, cfg.disks, &cfg.disk_spec.geometry)
-            }
-            crate::DataLayout::Striped => {
-                RunLayout::striped(lengths, cfg.disks, &cfg.disk_spec.geometry)
-            }
-        };
-        let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let disk_seed = rng.next_u64();
+    /// Returns a [`ConfigError`] if the configuration, validated against
+    /// the longest run, is inconsistent (see [`MergeDriver::shape`]).
+    pub fn with_run_lengths(cfg: MergeConfig, lengths: &[u32]) -> Result<Self, ConfigError> {
+        let (cfg, layout) = MergeDriver::shape(cfg, lengths)?;
+        let (disk_seed, writer_seed) = MergeDriver::device_seeds(cfg.seed);
         let disks = DiskArray::new(cfg.disks as usize, cfg.disk_spec, cfg.discipline, disk_seed);
-        let writer_seed = rng.next_u64();
         let writer = cfg
             .write
             .map(|spec| Writer::new(spec, cfg.disk_spec, writer_seed));
-        let cache = BlockCache::new(cfg.cache_blocks, cfg.runs);
-        let runs: Vec<RunProgress> = lengths
-            .iter()
-            .map(|&len| RunProgress {
-                total: len,
-                next_fetch: 0,
-                depleted: 0,
-            })
-            .collect();
-        let live: Vec<RunId> = (0..cfg.runs).map(RunId).collect();
-        let live_pos = (0..cfg.runs as usize).collect();
-        // Inter-run prefetch candidates only exist when runs have home
-        // disks (validate() rejects striped + inter-run).
-        let fetchable: Vec<Vec<RunId>> = if layout.is_striped() {
-            vec![Vec::new(); cfg.disks as usize]
-        } else {
-            (0..cfg.disks)
-                .map(|d| layout.runs_on_disk(DiskId(d as u16)).to_vec())
-                .collect()
-        };
-        let mut fetchable_pos = vec![DEAD; cfg.runs as usize];
-        for list in &fetchable {
-            for (i, r) in list.iter().enumerate() {
-                fetchable_pos[r.0 as usize] = i;
-            }
-        }
-        let expected_blocks = layout.total_blocks();
-        // The event list is O(D): one in-flight completion per read disk,
-        // one per write disk, plus the CPU step. Size it once so the
-        // steady state never grows the heap.
-        let write_disks = cfg.write.map_or(0, |w| w.disks) as usize;
-        let event_capacity = cfg.disks as usize + write_disks + 1;
-        let group_capacity = cfg.disks as usize + 1;
-        MergeSim {
-            hot: HotDispatch::from_cfg(&cfg),
-            cfg,
-            exec: Executive::with_capacity(event_capacity),
-            disks,
-            cache,
-            layout,
-            rng,
-            runs,
-            live,
-            live_pos,
-            fetchable,
-            fetchable_pos,
-            gate: None,
-            cpu_free_at: SimTime::ZERO,
-            cpu_scheduled: false,
-            current_depth: cfg.strategy.depth(),
-            scratch_groups: Vec::with_capacity(group_capacity),
-            scratch_admitted: Vec::with_capacity(group_capacity),
-            scratch_candidates: Vec::with_capacity(cfg.runs as usize),
-            writer,
-            cpu_done: false,
-            busy: BusyTracker::default(),
-            expected_blocks,
-            blocks_merged: 0,
-            demand_ops: 0,
-            fallback_ops: 0,
-            full_prefetch_ops: 0,
-            cpu_stall: SimDuration::ZERO,
-            finished_at: None,
+        Ok(MergeSim {
+            state: SimState {
+                cpu_is_free: cfg.cpu_per_block.is_zero(),
+                // Sized once so the steady state never grows the heap.
+                exec: Executive::with_capacity(event_bound(&cfg)),
+                disks,
+                driver: MergeDriver::new(cfg, layout),
+                issues: Vec::new(),
+                writer,
+                write_blocked: false,
+                cpu_free_at: SimTime::ZERO,
+                cpu_scheduled: false,
+                cpu_done: false,
+                busy: BusyTracker::default(),
+                cpu_stall: SimDuration::ZERO,
+                finished_at: None,
+                cfg,
+            },
             sink: NullSink,
-        }
+        })
     }
 
     /// Runs the simulation under the paper's uniform random depletion
@@ -331,7 +160,7 @@ impl MergeSim {
     ///
     /// As [`MergeSim::run`].
     pub fn run_traced<M: DepletionModel + ?Sized>(self, model: &mut M) -> (MergeReport, Timeline) {
-        let cpu_per_block = self.cfg.cpu_per_block;
+        let cpu_per_block = self.state.cfg.cpu_per_block;
         let (report, sink) = self
             .replace_sink(RecordingSink::unbounded())
             .run_with_sink(model);
@@ -346,35 +175,7 @@ impl<S: TraceSink> MergeSim<S> {
     /// the run starts.
     pub fn replace_sink<T: TraceSink>(self, sink: T) -> MergeSim<T> {
         MergeSim {
-            cfg: self.cfg,
-            hot: self.hot,
-            exec: self.exec,
-            disks: self.disks,
-            cache: self.cache,
-            layout: self.layout,
-            rng: self.rng,
-            runs: self.runs,
-            live: self.live,
-            live_pos: self.live_pos,
-            fetchable: self.fetchable,
-            fetchable_pos: self.fetchable_pos,
-            gate: self.gate,
-            cpu_free_at: self.cpu_free_at,
-            cpu_scheduled: self.cpu_scheduled,
-            current_depth: self.current_depth,
-            scratch_groups: self.scratch_groups,
-            scratch_admitted: self.scratch_admitted,
-            scratch_candidates: self.scratch_candidates,
-            writer: self.writer,
-            cpu_done: self.cpu_done,
-            busy: self.busy,
-            expected_blocks: self.expected_blocks,
-            blocks_merged: self.blocks_merged,
-            demand_ops: self.demand_ops,
-            fallback_ops: self.fallback_ops,
-            full_prefetch_ops: self.full_prefetch_ops,
-            cpu_stall: self.cpu_stall,
-            finished_at: self.finished_at,
+            state: self.state,
             sink,
         }
     }
@@ -403,24 +204,36 @@ impl<S: TraceSink> MergeSim<S> {
     /// # Panics
     ///
     /// As [`MergeSim::run`].
-    pub fn run_with_sink<M: DepletionModel + ?Sized>(mut self, model: &mut M) -> (MergeReport, S) {
-        self.run_loop(model);
-        self.build_report()
+    pub fn run_with_sink<M: DepletionModel + ?Sized>(self, model: &mut M) -> (MergeReport, S) {
+        let MergeSim {
+            mut state,
+            mut sink,
+        } = self;
+        state.run_loop(model, &mut sink);
+        (state.report(), sink)
     }
+}
 
-    fn run_loop<M: DepletionModel + ?Sized>(&mut self, model: &mut M) {
-        // Completion events are coalesced per device: a disk only ever has
-        // its *next* completion in the event list and re-arms on dispatch,
-        // so the list holds at most one event per read disk, one per write
-        // disk, and one CPU step — O(D), independent of in-flight blocks.
-        let event_bound =
-            self.cfg.disks as usize + self.cfg.write.map_or(0, |w| w.disks) as usize + 1;
-        self.initial_load();
+/// The most events the list ever holds. Completion events are coalesced
+/// per device: a disk only ever has its *next* completion in the event
+/// list and re-arms on dispatch, so the list holds at most one event per
+/// read disk, one per write disk, and one CPU step — O(D), independent of
+/// in-flight blocks.
+fn event_bound(cfg: &MergeConfig) -> usize {
+    cfg.disks as usize + cfg.write.map_or(0, |w| w.disks) as usize + 1
+}
+
+impl SimState {
+    fn run_loop<M: DepletionModel + ?Sized, S: TraceSink>(&mut self, model: &mut M, sink: &mut S) {
+        let event_bound = event_bound(&self.cfg);
+        // The initial load, all queued at `t = 0`.
+        self.driver.start(&mut self.issues);
+        self.submit_issues(self.exec.now(), sink);
         while let Some(ev) = self.exec.next() {
             match ev {
-                Event::DiskDone(d) => self.on_disk_done(d),
-                Event::WriteDone(d) => self.on_write_done(d),
-                Event::CpuStep => self.on_cpu_step(model),
+                Event::DiskDone(d) => self.on_disk_done(d, sink),
+                Event::WriteDone(d) => self.on_write_done(d, sink),
+                Event::CpuStep => self.on_cpu_step(model, sink),
             }
             debug_assert!(
                 self.exec.pending() <= event_bound,
@@ -430,75 +243,22 @@ impl<S: TraceSink> MergeSim<S> {
         }
     }
 
-    /// Issues the initial load: the first `min(N, B)` blocks of every run,
-    /// all queued at `t = 0`. The CPU starts once every run has its leading
-    /// block resident (synchronized mode: once every initial block has
-    /// arrived).
-    fn initial_load(&mut self) {
-        let depth = self.cfg.strategy.depth();
+    fn on_disk_done<S: TraceSink>(&mut self, disk: DiskId, sink: &mut S) {
         let now = self.exec.now();
-        let mut issued: u64 = 0;
-        for r in 0..self.cfg.runs {
-            let run = RunId(r);
-            let batch = depth.min(self.runs[r as usize].total);
-            self.cache.reserve(run, batch);
-            self.submit_blocks(now, run, 0, batch);
-            issued += u64::from(batch);
-        }
-        self.gate = Some(Gate::Startup {
-            first_missing: self.cfg.runs,
-            blocks_remaining: issued,
-        });
-    }
-
-    fn on_disk_done(&mut self, disk: DiskId) {
-        let now = self.exec.now();
-        let (done, next) = self.disks.complete_traced(now, disk, &mut self.sink);
+        let (done, next) = self.disks.complete_traced(now, disk, sink);
         if let Some(s) = next {
-            self.exec.schedule_at(s.completion_at, Event::DiskDone(disk));
+            self.exec
+                .schedule_at(s.completion_at, Event::DiskDone(disk));
         }
         self.busy.update(now, self.disks.busy_count() as u32);
-        let (run, _index) = untag(done.request.tag);
-        self.cache.block_arrived(run);
-        self.advance_gate(now, run);
-    }
-
-    /// Records an arrival against the current gate and wakes the CPU when
-    /// the gate opens.
-    fn advance_gate(&mut self, now: SimTime, run: RunId) {
-        let opened = match &mut self.gate {
-            None => false,
-            Some(Gate::Startup {
-                first_missing,
-                blocks_remaining,
-            }) => {
-                // During startup nothing depletes, so a run's resident
-                // count hits 1 exactly once: on its first arrival.
-                if self.cache.resident(run) == 1 {
-                    *first_missing -= 1;
-                }
-                *blocks_remaining -= 1;
-                match self.cfg.sync {
-                    SyncMode::Synchronized => *blocks_remaining == 0,
-                    SyncMode::Unsynchronized => *first_missing == 0,
-                }
-            }
-            Some(Gate::SyncOp { remaining }) => {
-                *remaining -= 1;
-                *remaining == 0
-            }
-            Some(Gate::Block { run: want_run }) => run == *want_run,
-            // Write-space gates open from write completions, not arrivals.
-            Some(Gate::WriteSpace) => false,
-        };
-        if opened {
+        let (run, _index) = pm_trace::unpack_tag(done.request.tag);
+        if self.driver.arrived(RunId(run)) {
             self.wake_cpu(now);
         }
     }
 
-    /// Opens the current gate: accounts the stall and schedules the CPU.
+    /// The CPU's gate opened: accounts the stall and schedules the CPU.
     fn wake_cpu(&mut self, now: SimTime) {
-        self.gate = None;
         if now > self.cpu_free_at {
             // No trace event: stalls are reconstructed exactly from the
             // gaps between `CpuConsume` stamps (see Timeline::from_trace).
@@ -514,14 +274,16 @@ impl<S: TraceSink> MergeSim<S> {
     /// A write completed: free the buffer slot, chain the next write, wake
     /// the CPU if it was stalled on buffer space, and finish the run once
     /// the last output block lands after the merge itself is done.
-    fn on_write_done(&mut self, disk: DiskId) {
+    fn on_write_done<S: TraceSink>(&mut self, disk: DiskId, sink: &mut S) {
         let now = self.exec.now();
         let writer = self.writer.as_mut().expect("write event without writer");
-        let (_, next) = writer.complete_traced(now, disk, &mut OutputSide(&mut self.sink));
+        let (_, next) = writer.complete_traced(now, disk, &mut OutputSide(&mut *sink));
         if let Some(s) = next {
-            self.exec.schedule_at(s.completion_at, Event::WriteDone(disk));
+            self.exec
+                .schedule_at(s.completion_at, Event::WriteDone(disk));
         }
-        if self.gate == Some(Gate::WriteSpace) {
+        if self.write_blocked {
+            self.write_blocked = false;
             self.wake_cpu(now);
         }
         if self.cpu_done && !self.writer.as_ref().expect("writer").is_draining() {
@@ -529,12 +291,15 @@ impl<S: TraceSink> MergeSim<S> {
         }
     }
 
-    fn on_cpu_step<M: DepletionModel + ?Sized>(&mut self, model: &mut M) {
+    fn on_cpu_step<M: DepletionModel + ?Sized, S: TraceSink>(
+        &mut self,
+        model: &mut M,
+        sink: &mut S,
+    ) {
         self.cpu_scheduled = false;
         loop {
             let now = self.exec.now();
-            debug_assert!(self.gate.is_none(), "CPU stepped through a closed gate");
-            if self.live.is_empty() {
+            if self.driver.is_done() {
                 if self.writer.as_ref().is_some_and(Writer::is_draining) {
                     // Every block is merged; the run ends when the last
                     // output block is written.
@@ -545,17 +310,30 @@ impl<S: TraceSink> MergeSim<S> {
                 return;
             }
             if self.writer.as_ref().is_some_and(|w| !w.has_space()) {
-                self.gate = Some(Gate::WriteSpace);
+                self.write_blocked = true;
                 return;
             }
-            let j = model.next_run(&mut self.rng, &self.live);
-            self.deplete_block(now, j);
+            let j = self.driver.next_run(model);
+            self.driver.deplete(j, now, sink);
+            if let Some(writer) = &mut self.writer {
+                if let Some((disk, s)) =
+                    writer.produce_block_traced(now, &mut OutputSide(&mut *sink))
+                {
+                    self.exec
+                        .schedule_at(s.completion_at, Event::WriteDone(disk));
+                }
+            }
+            let disks = &self.disks;
+            let step = self
+                .driver
+                .refill(j, now, |d| disks.disk(d).head(), &mut self.issues, sink);
             self.cpu_free_at = now + self.cfg.cpu_per_block;
-            if self.gate.is_some() {
+            if step == Step::Blocked {
+                self.submit_issues(now, sink);
                 // Blocked on I/O; an arrival will reschedule the CPU.
                 return;
             }
-            if self.hot.cpu_is_free {
+            if self.cpu_is_free {
                 continue; // infinitely fast CPU: merge on at this instant
             }
             self.exec.schedule_at(self.cpu_free_at, Event::CpuStep);
@@ -564,293 +342,38 @@ impl<S: TraceSink> MergeSim<S> {
         }
     }
 
-    /// Consumes the leading block of `j` and issues/waits on I/O as the
-    /// paper's pseudocode prescribes.
-    fn deplete_block(&mut self, now: SimTime, j: RunId) {
-        assert!(
-            self.cache.resident(j) > 0,
-            "depletion invariant violated: run {j:?} has no resident block"
-        );
-        if S::ENABLED {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::CpuConsume {
-                    run: j.0,
-                    block: self.runs[j.0 as usize].depleted,
-                },
-            });
-        }
-        self.cache.deplete_traced(j, now, &mut self.sink);
-        if let Some(writer) = &mut self.writer {
-            if let Some((disk, s)) =
-                writer.produce_block_traced(now, &mut OutputSide(&mut self.sink))
-            {
-                self.exec.schedule_at(s.completion_at, Event::WriteDone(disk));
-            }
-        }
-        let progress = &mut self.runs[j.0 as usize];
-        progress.depleted += 1;
-        self.blocks_merged += 1;
-        let depleted = progress.depleted;
-        let total = progress.total;
-        if depleted == total {
-            if S::ENABLED {
-                self.sink.emit(TraceEvent {
-                    at: now,
-                    kind: EventKind::RunExhausted { run: j.0 },
-                });
-            }
-            self.remove_live(j);
+    /// Queues the driver's latest issues at their disks and schedules the
+    /// completions of those that went straight into service.
+    fn submit_issues<S: TraceSink>(&mut self, now: SimTime, sink: &mut S) {
+        if self.issues.is_empty() {
             return;
         }
-        if self.cache.held(j) == 0 {
-            // The run has no cached or in-flight blocks left, but more on
-            // disk: demand fetch, merge stalls.
-            debug_assert!(self.runs[j.0 as usize].next_fetch < total);
-            self.issue_demand(now, j);
-        } else if self.cache.resident(j) == 0 {
-            // Blocks of `j` are in flight (unsynchronized prefetching):
-            // wait for the next one.
-            debug_assert_eq!(self.cfg.sync, SyncMode::Unsynchronized);
-            self.gate = Some(Gate::Block { run: j });
-        }
-    }
-
-    /// Issues a demand-fetch operation for run `j` per the configured
-    /// strategy and sets the CPU gate.
-    fn issue_demand(&mut self, now: SimTime, j: RunId) {
-        self.demand_ops += 1;
-        let depth = self.current_depth;
-        let progress = self.runs[j.0 as usize];
-        let demand_blocks = depth.min(progress.total - progress.next_fetch);
-        debug_assert!(demand_blocks >= 1);
-        let demand_index = progress.next_fetch;
-        debug_assert_eq!(demand_index, progress.depleted);
-        if S::ENABLED {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::DemandMiss {
-                    run: j.0,
-                    block: demand_index,
-                    free: self.cache.free(),
-                },
-            });
-        }
-
-        let issued_total = if self.hot.inter_run {
-            self.issue_inter_run(now, j, demand_blocks)
-        } else {
-            // No-prefetch / intra-run: the cache-sizing invariant
-            // (C ≥ k·N) guarantees space; `reserve` asserts it.
-            self.cache.reserve(j, demand_blocks);
-            self.submit_blocks(now, j, demand_index, demand_blocks);
-            demand_blocks
-        };
-
-        self.gate = Some(match self.cfg.sync {
-            SyncMode::Synchronized => Gate::SyncOp {
-                remaining: issued_total,
-            },
-            SyncMode::Unsynchronized => Gate::Block { run: j },
-        });
-    }
-
-    /// Issues the combined inter-run operation: `demand_blocks` from `j`
-    /// plus up to `N` blocks of one random fetchable run on every other
-    /// disk, admitted against the cache. Returns the number of blocks
-    /// issued.
-    fn issue_inter_run(&mut self, now: SimTime, j: RunId, demand_blocks: u32) -> u32 {
-        let depth = self.current_depth;
-        let demand_disk = self.layout.placement(j).disk;
-        // The scratch buffers are moved out of `self` for the duration of
-        // the operation (a pointer swap, no allocation) so the borrow
-        // checker sees them as locals while the loop also reads
-        // `self.fetchable`, `self.cache`, etc.
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        let mut candidate_buf = std::mem::take(&mut self.scratch_candidates);
-        let mut admitted = std::mem::take(&mut self.scratch_admitted);
-        groups.clear();
-        // Desired groups, demand run first (so greedy admission always
-        // covers the demand block).
-        groups.push(PrefetchGroup {
-            run: j,
-            blocks: demand_blocks,
-        });
-        for d in 0..self.cfg.disks as u16 {
-            let disk = DiskId(d);
-            if disk == demand_disk {
-                continue;
-            }
-            let candidates: &[RunId] = match self.cfg.per_run_cap {
-                // Uncapped: every fetchable run on the disk is a candidate,
-                // so borrow the list directly instead of copying it.
-                None => &self.fetchable[d as usize],
-                Some(cap) => {
-                    candidate_buf.clear();
-                    candidate_buf.extend(
-                        self.fetchable[d as usize]
-                            .iter()
-                            .copied()
-                            .filter(|&r| self.cache.held(r) < cap),
-                    );
-                    &candidate_buf
-                }
-            };
-            if candidates.is_empty() {
-                continue;
-            }
-            // One policy match per candidate group (the closure-based
-            // `PrefetchChoice::pick` would re-match per candidate, and its
-            // score closure forced a full `MergeConfig` copy per group).
-            // `pick_min` is `pick`'s own selection rule, so each arm makes
-            // the decision `pick` would and consumes the same RNG draws.
-            let run = match self.hot.choice {
-                crate::PrefetchChoice::Random => *self.rng.choose(candidates),
-                crate::PrefetchChoice::LeastHeld => {
-                    let cache = &self.cache;
-                    crate::PrefetchChoice::pick_min(candidates, |r| u64::from(cache.held(r)))
-                }
-                crate::PrefetchChoice::HeadProximity => {
-                    let head = self.disks.disk(disk).head();
-                    let layout = &self.layout;
-                    let runs = &self.runs;
-                    let geometry = &self.cfg.disk_spec.geometry;
-                    crate::PrefetchChoice::pick_min(candidates, |r| {
-                        let next = runs[r.0 as usize].next_fetch;
-                        let cyl = geometry.cylinder_of(layout.block_addr(r, next));
-                        u64::from(cyl.distance(head))
-                    })
-                }
-            };
-            let p = self.runs[run.0 as usize];
-            let blocks = depth.min(p.total - p.next_fetch);
-            debug_assert!(blocks >= 1);
-            groups.push(PrefetchGroup { run, blocks });
-        }
-        if S::ENABLED {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::PrefetchBatch {
-                    groups: groups.len() as u32,
-                    blocks: groups.iter().map(|g| g.blocks).sum(),
-                    depth,
-                },
-            });
-        }
-
-        if self.hot.greedy_shuffle && groups.len() > 2 {
-            // The greedy alternative admits a prefix of the group list;
-            // the paper specifies the choice of which blocks to keep is
-            // random, so shuffle the non-demand groups.
-            self.rng.shuffle(&mut groups[1..]);
-        }
-        let full = self.cfg.admission.admit_into_traced(
-            &mut self.cache,
-            &groups,
-            &mut admitted,
-            now,
-            &mut self.sink,
-        );
-        if full {
-            self.full_prefetch_ops += 1;
-        }
-        if let Some((n_min, n_max)) = self.hot.adaptive_bounds {
-            // AIMD: a fully admitted operation earns one more block of
-            // depth; a rejection halves it.
-            self.current_depth = if full {
-                (self.current_depth + 1).min(n_max)
-            } else {
-                (self.current_depth / 2).max(n_min)
-            };
-        }
-        let issued = if admitted.is_empty() {
-            // All-or-nothing rejection: fetch only the demand block. The
-            // depletion that triggered this demand just freed a frame.
-            self.fallback_ops += 1;
-            self.cache.reserve(j, 1);
-            self.submit_blocks(now, j, self.runs[j.0 as usize].next_fetch, 1);
-            1
-        } else {
-            let mut issued = 0;
-            for g in &admitted {
-                let start = self.runs[g.run.0 as usize].next_fetch;
-                self.submit_blocks(now, g.run, start, g.blocks);
-                issued += g.blocks;
-            }
-            issued
-        };
-        self.scratch_groups = groups;
-        self.scratch_candidates = candidate_buf;
-        self.scratch_admitted = admitted;
-        issued
-    }
-
-    /// Submits `count` single-block requests for `run` starting at block
-    /// `start_index`, schedules their completion events, and advances the
-    /// run's fetch pointer. Cache frames must already be reserved.
-    fn submit_blocks(&mut self, now: SimTime, run: RunId, start_index: u32, count: u32) {
-        debug_assert!(count >= 1);
-        // Consecutive blocks of a run sit `stride` indices apart on the
-        // same disk (1 when concatenated, D when striped); only those
-        // continuations stream for free.
-        let stride = self.layout.same_disk_stride();
-        for i in 0..count {
-            let index = start_index + i;
-            let (disk, start) = self.layout.location(run, index);
+        for b in &self.issues {
             let req = DiskRequest {
-                disk,
-                start,
+                disk: b.disk,
+                start: b.start,
                 len: 1,
-                sequential_hint: i >= stride,
-                tag: tag_of(run, index),
+                sequential_hint: b.sequential_hint,
+                tag: pm_trace::pack_tag(b.run.0, b.index),
             };
-            let (_, started) = self.disks.submit_traced(now, req, &mut self.sink);
+            let (_, started) = self.disks.submit_traced(now, req, sink);
             if let Some(s) = started {
-                self.exec.schedule_at(s.completion_at, Event::DiskDone(disk));
-            }
-        }
-        let progress = &mut self.runs[run.0 as usize];
-        progress.next_fetch += count;
-        debug_assert!(progress.next_fetch <= progress.total);
-        if progress.next_fetch == progress.total {
-            if let Some(home) = self.layout.home_disk(run) {
-                self.remove_fetchable(run, home);
+                self.exec
+                    .schedule_at(s.completion_at, Event::DiskDone(b.disk));
             }
         }
         self.busy.update(now, self.disks.busy_count() as u32);
     }
 
-    fn remove_live(&mut self, run: RunId) {
-        let pos = self.live_pos[run.0 as usize];
-        debug_assert_ne!(pos, DEAD);
-        self.live.swap_remove(pos);
-        if let Some(&moved) = self.live.get(pos) {
-            self.live_pos[moved.0 as usize] = pos;
-        }
-        self.live_pos[run.0 as usize] = DEAD;
-    }
-
-    fn remove_fetchable(&mut self, run: RunId, disk: DiskId) {
-        let list = &mut self.fetchable[disk.0 as usize];
-        let pos = self.fetchable_pos[run.0 as usize];
-        debug_assert_ne!(pos, DEAD);
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.fetchable_pos[moved.0 as usize] = pos;
-        }
-        self.fetchable_pos[run.0 as usize] = DEAD;
-    }
-
-    fn build_report(mut self) -> (MergeReport, S) {
+    fn report(mut self) -> MergeReport {
         let finished = self
             .finished_at
             .expect("simulation ended without completing the merge");
-        assert_eq!(self.blocks_merged, self.expected_blocks, "merge ended early");
-        assert_eq!(self.cache.total_reserved(), 0, "blocks left in flight");
-        assert_eq!(self.cache.total_resident(), 0, "blocks left undepleted");
+        self.driver.finish();
+        let blocks_merged = self.driver.blocks_merged();
         if let Some(writer) = &self.writer {
             assert!(!writer.is_draining(), "output blocks left unwritten");
-            assert_eq!(writer.blocks_written(), self.blocks_merged);
+            assert_eq!(writer.blocks_written(), blocks_merged);
         }
         self.busy.update(finished, self.disks.busy_count() as u32);
         let agg = self.disks.aggregate_stats();
@@ -866,21 +389,17 @@ impl<S: TraceSink> MergeSim<S> {
         } else {
             self.busy.integral as f64 / self.busy.active_ns as f64
         };
-        let report = MergeReport {
+        MergeReport {
             total,
-            blocks_merged: self.blocks_merged,
-            demand_ops: self.demand_ops,
-            fallback_ops: self.fallback_ops,
-            full_prefetch_ops: self.full_prefetch_ops,
-            success_ratio: if self.demand_ops == 0 {
-                None
-            } else {
-                Some(self.full_prefetch_ops as f64 / self.demand_ops as f64)
-            },
+            blocks_merged,
+            demand_ops: self.driver.demand_ops(),
+            fallback_ops: self.driver.fallback_ops(),
+            full_prefetch_ops: self.driver.full_prefetch_ops(),
+            success_ratio: self.driver.success_ratio(),
             avg_busy_disks,
             avg_concurrency,
             peak_busy_disks: self.busy.peak,
-            cpu_busy: self.cfg.cpu_per_block * self.blocks_merged,
+            cpu_busy: self.cfg.cpu_per_block * blocks_merged,
             cpu_stall: self.cpu_stall,
             seek_total: agg.seek_total(),
             latency_total: agg.latency_total(),
@@ -893,15 +412,14 @@ impl<S: TraceSink> MergeSim<S> {
                 .writer
                 .as_ref()
                 .map_or(SimDuration::ZERO, Writer::busy_total),
-        };
-        (report, self.sink)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PrefetchStrategy, TraceDepletion};
+    use crate::{PrefetchStrategy, SyncMode, TraceDepletion};
     use pm_cache::AdmissionPolicy;
 
     /// Small, fast scenario helper.

@@ -1,41 +1,34 @@
-//! The merge engine: the simulator's decision procedure driving real
-//! block I/O.
+//! The merge engine: the paper's decision procedure driving real block
+//! I/O.
 //!
-//! [`MergeEngine`] executes the paper's merge phase against a
-//! [`BlockDevice`]: the same initial load, demand fetches, inter-run
-//! prefetch operations, admission decisions, and AIMD depth adaptation
-//! as [`pm_core::MergeSim`], but where the simulator advances a virtual
-//! clock, the engine submits requests to per-disk I/O worker threads and
-//! merges real records through [`pm_core::LoserTree`].
+//! [`MergeEngine`] executes the paper's merge phase against an
+//! [`IoQueue`]. Its decisions come from [`pm_core::MergeDriver`], the
+//! same state machine [`MergeSim`] runs on a virtual clock: the initial
+//! load, demand fetches, inter-run prefetch operations, admission and
+//! AIMD depth adaptation. Where the simulator advances a virtual clock,
+//! the engine submits the driver's reads to the queue, reports each
+//! reaped completion back to the driver, and merges real records
+//! through [`pm_core::LoserTree`].
 //!
 //! ## Decision parity with the simulator
 //!
-//! Every decision the simulator makes at a depletion — whether to issue
-//! a demand fetch, which runs to prefetch (including the RNG draws of
-//! [`pm_core::PrefetchChoice::Random`] and the greedy shuffle), how much
-//! the admission policy accepts, the AIMD depth update — is a pure
-//! function of the depletion sequence: its inputs (per-run held counts,
-//! free frames, fetch pointers, fetchable lists) change only at issue
-//! and depletion time, never at completion time. The engine makes those
-//! decisions with the identical code against the identical state,
-//! consuming an identically-seeded RNG stream (the simulator's
-//! `disk_seed`/`writer_seed` draws are mirrored before the first
-//! decision). The block-request sequence per disk is therefore
-//! *deterministic*: independent of the backend, the number of I/O
-//! workers, and host timing. [`MergeEngine::predict`] replays the
-//! engine's recorded depletion sequence through the simulator proper,
-//! which must re-derive that exact request sequence — the foundation of
-//! the sim-vs-engine cross-validation.
+//! The driver's decision inputs change only at depletion and issue
+//! time, never at completion time, so the block-request sequence per
+//! disk is a function of the depletion sequence alone: independent of
+//! the backend, the number of I/O workers, and host timing.
+//! [`MergeEngine::predict`] replays the engine's recorded depletion
+//! sequence through the simulator proper, which must re-derive that
+//! exact request sequence — an independent check of the engine's I/O
+//! path against the modeled disk array.
 //!
-//! Two caveats, both enforced by construction here: parity holds for
-//! FIFO queueing (the engine services each disk one request at a time
-//! in submission order) and for prefetch choices whose score the engine
-//! can evaluate exactly ([`pm_core::PrefetchChoice::HeadProximity`]
-//! scores against the cylinder of the *last submitted* block per disk,
-//! which can diverge from the simulator's serviced-head position).
-//! Any [`pm_disk::QueueDiscipline`] is *executable* — the latency model
-//! just sees FIFO service order — but only FIFO predictions are
-//! meaningful.
+//! Parity holds for FIFO queueing (the engine services each disk one
+//! request at a time in submission order). For
+//! [`pm_core::PrefetchChoice::HeadProximity`] the driver scores
+//! candidates against a head position its caller supplies: the engine
+//! passes the cylinder of the *last submitted* block per disk, the
+//! simulator its serviced head, and the two can differ. Any
+//! [`pm_disk::QueueDiscipline`] is *executable* — the latency model just
+//! sees FIFO service order — but only FIFO predictions are meaningful.
 //!
 //! ## Tracing
 //!
@@ -51,16 +44,15 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use pm_cache::{AdmissionPolicy, BlockCache, PrefetchGroup, RunId};
+use pm_cache::RunId;
 use pm_core::{
-    DataLayout, MergeConfig, MergeReport, MergeSim, PmError, PrefetchChoice, PrefetchStrategy,
-    RunLayout, SyncMode, TraceDepletion,
+    BlockIssue, LoserTree, MergeConfig, MergeDriver, MergeReport, MergeSim, PmError, RunLayout,
+    Step, TraceDepletion,
 };
-use pm_disk::{Cylinder, DiskId, DiskRequest};
-use pm_core::LoserTree;
+use pm_disk::{Cylinder, DiskRequest};
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
-use pm_sim::{SimDuration, SimRng, SimTime};
+use pm_sim::{SimDuration, SimTime};
 use pm_trace::{
     pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink,
 };
@@ -164,12 +156,12 @@ pub struct EnginePrediction {
 }
 
 /// The disk-array seed a simulation of `cfg` derives from its master
-/// seed (the first draw of the master stream). Seed a
+/// seed ([`MergeDriver::device_seeds`]). Seed a
 /// [`crate::LatencyDevice`] with this to make its per-disk latency
 /// streams bit-identical to the simulator's.
 #[must_use]
 pub fn disk_seed_for(cfg: &MergeConfig) -> u64 {
-    SimRng::seed_from_u64(cfg.seed).next_u64()
+    MergeDriver::device_seeds(cfg.seed).0
 }
 
 /// A planned engine execution: scenario, data shape, and layout.
@@ -189,7 +181,8 @@ pub struct MergeEngine {
 impl MergeEngine {
     /// Plans an execution of `cfg.merge` over runs of the given record
     /// counts. `cfg.merge.runs` / `run_blocks` are replaced by the data's
-    /// actual shape (mirroring [`MergeSim::with_run_lengths`]).
+    /// actual shape by [`MergeDriver::shape`], the check
+    /// [`MergeSim::with_run_lengths`] makes too.
     ///
     /// # Errors
     ///
@@ -209,36 +202,12 @@ impl MergeEngine {
         if cfg.time_scale <= 0.0 || cfg.time_scale.is_nan() {
             return Err(PmError::Usage("time-scale must be positive".into()));
         }
-        if run_records.is_empty() || run_records.contains(&0) {
-            return Err(PmError::Config(pm_core::ConfigError::ZeroParameter(
-                "run lengths",
-            )));
-        }
         let rpb = cfg.records_per_block;
         let run_blocks: Vec<u32> = run_records
             .iter()
             .map(|&len| (len as u64).div_ceil(u64::from(rpb)) as u32)
             .collect();
-        let mut merge = cfg.merge;
-        merge.runs = run_blocks.len() as u32;
-        merge.run_blocks = *run_blocks.iter().max().expect("non-empty");
-        merge.validate()?;
-        let depth = merge.strategy.depth();
-        let need: u64 = run_blocks.iter().map(|&l| u64::from(depth.min(l))).sum();
-        if u64::from(merge.cache_blocks) < need {
-            return Err(PmError::Config(pm_core::ConfigError::CacheTooSmall {
-                have: merge.cache_blocks,
-                need: need as u32,
-            }));
-        }
-        let layout = match merge.layout {
-            DataLayout::Concatenated => {
-                RunLayout::contiguous_lengths(&run_blocks, merge.disks, &merge.disk_spec.geometry)
-            }
-            DataLayout::Striped => {
-                RunLayout::striped(&run_blocks, merge.disks, &merge.disk_spec.geometry)
-            }
-        };
+        let (merge, layout) = MergeDriver::shape(cfg.merge, &run_blocks)?;
         Ok(MergeEngine {
             cfg,
             merge,
@@ -356,8 +325,8 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the merge breaks (the
+    /// driver's and the engine's own assertions).
     pub fn execute(&self, queue: Box<dyn IoQueue>) -> Result<ExecOutcome, PmError> {
         self.execute_metered(queue, &NullMetrics, &mut NullSink)
     }
@@ -386,8 +355,8 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the merge breaks (the
+    /// driver's and the engine's own assertions).
     pub fn execute_metered<M: MetricsSink, S: TraceSink>(
         &self,
         mut queue: Box<dyn IoQueue>,
@@ -424,8 +393,8 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the merge breaks (the
+    /// driver's and the engine's own assertions).
     pub fn execute_shared(&self, port: SharedPort) -> Result<ExecOutcome, PmError> {
         self.execute_shared_metered(port, &NullMetrics, &mut NullSink)
     }
@@ -443,8 +412,8 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the merge breaks (the
+    /// driver's and the engine's own assertions).
     pub fn execute_shared_metered<M: MetricsSink, S: TraceSink>(
         &self,
         port: SharedPort,
@@ -512,20 +481,6 @@ impl TraceSink for IssueLog {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RunState {
-    total: u32,
-    next_fetch: u32,
-    depleted: u32,
-}
-
-enum Gate {
-    SyncOp { remaining: u32 },
-    Block { run: RunId },
-}
-
-const DEAD: usize = usize::MAX;
-
 /// The merge's read position in a run's current block.
 struct Cursor {
     block: Vec<Record>,
@@ -545,8 +500,11 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     port: Box<dyn IoQueue>,
     /// The queue's backend label, for error context.
     backend: &'static str,
-    /// Requests staged since the last flush: one decision point's issues
-    /// go to the queue as a single batch.
+    /// The decision procedure.
+    driver: MergeDriver,
+    /// The reads the driver decided at the current decision point.
+    issues: Vec<BlockIssue>,
+    /// Requests staged for one submission batch.
     stage: Vec<IoRequest>,
     /// Completions reaped but not yet processed (batched reaping hands
     /// back more than one at a time).
@@ -559,13 +517,6 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     tenant: u16,
     metrics: &'a M,
     epoch: Instant,
-    cache: BlockCache,
-    rng: SimRng,
-    runs: Vec<RunState>,
-    fetchable: Vec<Vec<RunId>>,
-    fetchable_pos: Vec<usize>,
-    current_depth: u32,
-    gate: Option<Gate>,
     /// Arrived, not-yet-consumed block payloads per run: slot `i` holds
     /// block `slot_base + i` once it arrives (striped layouts deliver
     /// out of index order, so a slot may wait while later ones fill).
@@ -575,30 +526,19 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     slot_base: Vec<u32>,
     /// Record buffers of consumed blocks, recycled for decoding.
     spare: Vec<Vec<Record>>,
-    /// Scratch for [`ExecState::issue_inter_run`]: the operation's
-    /// groups, what the admission policy accepted, and one disk's
-    /// capped candidate list.
-    groups: Vec<PrefetchGroup>,
-    admitted: Vec<PrefetchGroup>,
-    candidates: Vec<RunId>,
-    /// Scratch for [`ExecState::flush_submissions`]: requests per disk
-    /// in the batch (metered runs only).
+    /// Scratch for [`ExecState::submit_issues`]: requests per disk in
+    /// the batch (metered runs only).
     submit_counts: Vec<u64>,
-    /// Shadow head position per disk: the cylinder of the last
-    /// *submitted* block (head-proximity scoring).
+    /// Head position per disk as the driver's head-proximity input: the
+    /// cylinder of the last *submitted* block.
     head_cyl: Vec<Cylinder>,
     spans: Vec<u64>,
     sink: &'a mut S,
     stall: Duration,
-    per_disk_requests: Vec<u64>,
     per_disk_sequential: Vec<u64>,
     per_disk_modeled_busy: Vec<SimDuration>,
     request_log: Vec<Vec<(u32, u32)>>,
     depletion: Vec<RunId>,
-    blocks_merged: u64,
-    demand_ops: u64,
-    fallback_ops: u64,
-    full_prefetch_ops: u64,
 }
 
 impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
@@ -611,32 +551,14 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         sink: &'a mut S,
     ) -> Self {
         let backend = port.backend();
-        let merge = &plan.merge;
-        let d = merge.disks as usize;
-        let k = merge.runs as usize;
-        // Mirror the simulator's seed derivation: the master stream
-        // hands out the disk seed, then the writer seed, before any
-        // decision draw.
-        let mut rng = SimRng::seed_from_u64(merge.seed);
-        let _disk_seed = rng.next_u64();
-        let _writer_seed = rng.next_u64();
-        let fetchable: Vec<Vec<RunId>> = if plan.layout.is_striped() {
-            vec![Vec::new(); d]
-        } else {
-            (0..d)
-                .map(|disk| plan.layout.runs_on_disk(DiskId(disk as u16)).to_vec())
-                .collect()
-        };
-        let mut fetchable_pos = vec![DEAD; k];
-        for list in &fetchable {
-            for (i, r) in list.iter().enumerate() {
-                fetchable_pos[r.0 as usize] = i;
-            }
-        }
+        let d = plan.merge.disks as usize;
+        let k = plan.merge.runs as usize;
         ExecState {
             plan,
             port,
             backend,
+            driver: MergeDriver::new(plan.merge, plan.layout.clone()),
+            issues: Vec::new(),
             stage: Vec::new(),
             pending: VecDeque::new(),
             reap_buf: Vec::new(),
@@ -644,41 +566,18 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             tenant,
             metrics,
             epoch,
-            cache: BlockCache::new(merge.cache_blocks, merge.runs),
-            rng,
-            runs: plan
-                .run_blocks
-                .iter()
-                .map(|&total| RunState {
-                    total,
-                    next_fetch: 0,
-                    depleted: 0,
-                })
-                .collect(),
-            fetchable,
-            fetchable_pos,
-            current_depth: merge.strategy.depth(),
-            gate: None,
             slots: (0..k).map(|_| VecDeque::new()).collect(),
             slot_base: vec![0; k],
             spare: Vec::new(),
-            groups: Vec::with_capacity(d + 1),
-            admitted: Vec::with_capacity(d + 1),
-            candidates: Vec::new(),
             submit_counts: vec![0; d],
             head_cyl: vec![Cylinder(0); d],
             spans: vec![0; d],
             sink,
             stall: Duration::ZERO,
-            per_disk_requests: vec![0; d],
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
             request_log: vec![Vec::new(); d],
             depletion: Vec::with_capacity(plan.layout.total_blocks() as usize),
-            blocks_merged: 0,
-            demand_ops: 0,
-            fallback_ops: 0,
-            full_prefetch_ops: 0,
         }
     }
 
@@ -692,18 +591,12 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         }
     }
 
-    /// Emits `kind` stamped now; compiled out when tracing is off.
-    fn trace(&mut self, kind: EventKind) {
-        if S::ENABLED {
-            let at = self.now();
-            self.sink.emit(TraceEvent { at, kind });
-        }
-    }
-
     fn run(&mut self) -> Result<ExecOutcome, PmError> {
-        let merge = &self.plan.merge;
-        let k = merge.runs as usize;
-        self.initial_load()?;
+        let k = self.plan.merge.runs as usize;
+        // The initial load, then the startup gate.
+        self.driver.start(&mut self.issues);
+        self.submit_issues()?;
+        while !self.await_arrival()? {}
 
         // Build the loser tree from every run's leading block.
         let mut cursors: Vec<Cursor> = Vec::with_capacity(k);
@@ -734,32 +627,23 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         }
         let wall = self.epoch.elapsed();
 
-        assert_eq!(
-            self.blocks_merged,
-            self.plan.layout.total_blocks(),
-            "merge ended early"
-        );
-        assert_eq!(self.cache.total_reserved(), 0, "blocks left in flight");
-        assert_eq!(self.cache.total_resident(), 0, "blocks left undepleted");
+        self.driver.finish();
         assert_eq!(output.len(), total_records);
 
         self.port
             .shutdown()
             .map_err(|e| PmError::device(self.backend, "shutting down the queue", e))?;
+        let driver = &self.driver;
         let report = ExecReport {
             wall,
             stall: self.stall,
-            blocks_merged: self.blocks_merged,
+            blocks_merged: driver.blocks_merged(),
             records_merged: output.len() as u64,
-            demand_ops: self.demand_ops,
-            fallback_ops: self.fallback_ops,
-            full_prefetch_ops: self.full_prefetch_ops,
-            success_ratio: if self.demand_ops == 0 {
-                None
-            } else {
-                Some(self.full_prefetch_ops as f64 / self.demand_ops as f64)
-            },
-            per_disk_requests: std::mem::take(&mut self.per_disk_requests),
+            demand_ops: driver.demand_ops(),
+            fallback_ops: driver.fallback_ops(),
+            full_prefetch_ops: driver.full_prefetch_ops(),
+            success_ratio: driver.success_ratio(),
+            per_disk_requests: self.request_log.iter().map(|r| r.len() as u64).collect(),
             per_disk_sequential: std::mem::take(&mut self.per_disk_sequential),
             per_disk_modeled_busy: std::mem::take(&mut self.per_disk_modeled_busy),
             time_scale: self.plan.cfg.time_scale,
@@ -772,122 +656,76 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         })
     }
 
-    /// Issues the initial load and waits out the startup gate
-    /// (unsynchronized: every run has a resident block; synchronized:
-    /// every initial block arrived).
-    fn initial_load(&mut self) -> Result<(), PmError> {
-        let merge = &self.plan.merge;
-        let depth = merge.strategy.depth();
-        let mut issued: u64 = 0;
-        for r in 0..merge.runs {
-            let run = RunId(r);
-            let batch = depth.min(self.runs[r as usize].total);
-            self.cache.reserve(run, batch);
-            self.submit_blocks(run, 0, batch);
-            issued += u64::from(batch);
-        }
-        self.flush_submissions()?;
-        match merge.sync {
-            SyncMode::Synchronized => {
-                for _ in 0..issued {
-                    self.await_arrival()?;
-                }
-            }
-            SyncMode::Unsynchronized => {
-                let mut first_missing = merge.runs;
-                while first_missing > 0 {
-                    let run = self.await_arrival()?;
-                    if self.cache.resident(run) == 1 {
-                        first_missing -= 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The leading block of `j` was fully consumed: deplete it, issue
-    /// I/O per the paper's pseudocode, wait out the gate, and hand back
-    /// the run's next block (`None` once the run is exhausted).
+    /// The leading block of `j` was fully consumed: report the depletion,
+    /// submit whatever the driver issues, wait out its gate, and hand
+    /// back the run's next block (`None` once the run is exhausted).
+    // Kept out of line: it runs once per block, and inlined into `run`'s
+    // per-record loop it measured ~6% fewer blocks/s on a two-pass merge
+    // of 512-record blocks.
+    #[inline(never)]
     fn advance_run(&mut self, j: RunId) -> Result<Option<Vec<Record>>, PmError> {
         let now = self.now();
-        if S::ENABLED {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::CpuConsume {
-                    run: j.0,
-                    block: self.runs[j.0 as usize].depleted,
-                },
-            });
-        }
-        self.cache.deplete_traced(j, now, self.sink);
+        self.driver.deplete(j, now, self.sink);
         self.depletion.push(j);
-        let progress = &mut self.runs[j.0 as usize];
-        progress.depleted += 1;
-        self.blocks_merged += 1;
-        let depleted = progress.depleted;
-        let total = progress.total;
-        if depleted == total {
-            if S::ENABLED {
-                self.sink.emit(TraceEvent {
-                    at: now,
-                    kind: EventKind::RunExhausted { run: j.0 },
-                });
+        let head_cyl = &self.head_cyl;
+        let step = self.driver.refill(
+            j,
+            now,
+            |d| head_cyl[d.0 as usize],
+            &mut self.issues,
+            self.sink,
+        );
+        match step {
+            Step::Exhausted => return Ok(None),
+            Step::Ready => {}
+            Step::Blocked => {
+                self.submit_issues()?;
+                while !self.await_arrival()? {}
             }
-            return Ok(None);
         }
-        if self.cache.held(j) == 0 {
-            debug_assert!(self.runs[j.0 as usize].next_fetch < total);
-            self.issue_demand(j)?;
-        } else if self.cache.resident(j) == 0 {
-            debug_assert_eq!(self.plan.merge.sync, SyncMode::Unsynchronized);
-            self.gate = Some(Gate::Block { run: j });
-        }
-        self.wait_gate()?;
         Ok(Some(self.take_block(j)?))
     }
 
-    /// Mirrors the simulator's demand-fetch issue, including the gate.
-    fn issue_demand(&mut self, j: RunId) -> Result<(), PmError> {
-        self.demand_ops += 1;
-        let depth = self.current_depth;
-        let progress = self.runs[j.0 as usize];
-        let demand_blocks = depth.min(progress.total - progress.next_fetch);
-        debug_assert!(demand_blocks >= 1);
-        let demand_index = progress.next_fetch;
-        debug_assert_eq!(demand_index, progress.depleted);
-        self.trace(EventKind::DemandMiss {
-            run: j.0,
-            block: demand_index,
-            free: self.cache.free(),
-        });
-        let issued_total = if self.plan.merge.strategy.is_inter_run() {
-            self.issue_inter_run(j, demand_blocks)
-        } else {
-            self.cache.reserve(j, demand_blocks);
-            self.submit_blocks(j, demand_index, demand_blocks);
-            demand_blocks
-        };
-        self.gate = Some(match self.plan.merge.sync {
-            SyncMode::Synchronized => Gate::SyncOp {
-                remaining: issued_total,
-            },
-            SyncMode::Unsynchronized => Gate::Block { run: j },
-        });
-        self.flush_submissions()
-    }
-
-    /// Hands everything staged since the last flush to the queue as one
-    /// batch (one decision point = one submission batch), stamping each
-    /// request's [`IoRequest::submitted`] with the one instant of the
-    /// handoff, and recording per-disk batch sizes and in-flight depth
-    /// when metered.
-    fn flush_submissions(&mut self) -> Result<(), PmError> {
-        if self.stage.is_empty() {
+    /// Hands the driver's latest issues to the queue as one batch (one
+    /// decision point = one submission batch), stamping each request's
+    /// [`IoRequest::submitted`] with the one instant of the handoff, and
+    /// recording per-disk batch sizes and in-flight depth when metered.
+    fn submit_issues(&mut self) -> Result<(), PmError> {
+        if self.issues.is_empty() {
             return Ok(());
         }
-        for r in &self.stage {
-            self.inflight[r.req.disk.0 as usize] += 1;
+        let geometry = &self.plan.merge.disk_spec.geometry;
+        for b in &self.issues {
+            let d = b.disk.0 as usize;
+            let tag = pack_tenant_tag(self.tenant, b.run.0, b.index);
+            let span = self.spans[d];
+            self.spans[d] += 1;
+            if S::ENABLED {
+                let at = self.now();
+                self.sink.emit(TraceEvent {
+                    at,
+                    kind: EventKind::DiskIssue {
+                        disk: b.disk.0,
+                        output: false,
+                        tag,
+                        span,
+                    },
+                });
+            }
+            self.request_log[d].push((b.run.0, b.index));
+            self.head_cyl[d] = geometry.cylinder_of(b.start);
+            self.inflight[d] += 1;
+            self.stage.push(IoRequest {
+                req: DiskRequest {
+                    disk: b.disk,
+                    start: b.start,
+                    len: 1,
+                    sequential_hint: b.sequential_hint,
+                    tag,
+                },
+                span,
+                submitted: self.epoch,
+            });
         }
         if M::ENABLED {
             self.submit_counts.fill(0);
@@ -914,188 +752,11 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         Ok(())
     }
 
-    /// Mirrors the simulator's combined inter-run operation: the demand
-    /// group plus one chosen run per other disk, admitted against the
-    /// cache, with the AIMD depth update and single-block fallback.
-    fn issue_inter_run(&mut self, j: RunId, demand_blocks: u32) -> u32 {
-        let merge = self.plan.merge;
-        let depth = self.current_depth;
-        let demand_disk = self.plan.layout.placement(j).disk;
-        let mut groups = std::mem::take(&mut self.groups);
-        groups.clear();
-        groups.push(PrefetchGroup {
-            run: j,
-            blocks: demand_blocks,
-        });
-        for d in 0..merge.disks as u16 {
-            let disk = DiskId(d);
-            if disk == demand_disk {
-                continue;
-            }
-            let candidates: &[RunId] = match merge.per_run_cap {
-                None => &self.fetchable[d as usize],
-                Some(cap) => {
-                    self.candidates.clear();
-                    self.candidates.extend(
-                        self.fetchable[d as usize]
-                            .iter()
-                            .copied()
-                            .filter(|&r| self.cache.held(r) < cap),
-                    );
-                    &self.candidates
-                }
-            };
-            if candidates.is_empty() {
-                continue;
-            }
-            let cache = &self.cache;
-            let layout = &self.plan.layout;
-            let runs = &self.runs;
-            let head = self.head_cyl[d as usize];
-            let run = merge
-                .prefetch_choice
-                .pick(&mut self.rng, candidates, |r| match merge.prefetch_choice {
-                    PrefetchChoice::Random => 0,
-                    PrefetchChoice::LeastHeld => u64::from(cache.held(r)),
-                    PrefetchChoice::HeadProximity => {
-                        let next = runs[r.0 as usize].next_fetch;
-                        let cyl = merge
-                            .disk_spec
-                            .geometry
-                            .cylinder_of(layout.block_addr(r, next));
-                        u64::from(cyl.distance(head))
-                    }
-                });
-            let p = self.runs[run.0 as usize];
-            let blocks = depth.min(p.total - p.next_fetch);
-            debug_assert!(blocks >= 1);
-            groups.push(PrefetchGroup { run, blocks });
-        }
-        self.trace(EventKind::PrefetchBatch {
-            groups: groups.len() as u32,
-            blocks: groups.iter().map(|g| g.blocks).sum(),
-            depth,
-        });
-        if merge.admission == AdmissionPolicy::Greedy && groups.len() > 2 {
-            self.rng.shuffle(&mut groups[1..]);
-        }
-        let mut admitted = std::mem::take(&mut self.admitted);
-        let now = self.now();
-        let full = merge.admission.admit_into_traced(
-            &mut self.cache,
-            &groups,
-            &mut admitted,
-            now,
-            self.sink,
-        );
-        if full {
-            self.full_prefetch_ops += 1;
-        }
-        if let PrefetchStrategy::InterRunAdaptive { n_min, n_max } = merge.strategy {
-            self.current_depth = if full {
-                (self.current_depth + 1).min(n_max)
-            } else {
-                (self.current_depth / 2).max(n_min)
-            };
-        }
-        let issued = if admitted.is_empty() {
-            self.fallback_ops += 1;
-            self.cache.reserve(j, 1);
-            let start = self.runs[j.0 as usize].next_fetch;
-            self.submit_blocks(j, start, 1);
-            1
-        } else {
-            let mut issued = 0;
-            for g in &admitted {
-                let start = self.runs[g.run.0 as usize].next_fetch;
-                self.submit_blocks(g.run, start, g.blocks);
-                issued += g.blocks;
-            }
-            issued
-        };
-        self.groups = groups;
-        self.admitted = admitted;
-        issued
-    }
-
-    /// Stages `count` single-block requests for the next flush (which
-    /// stamps their submission time) and advances the fetch pointer
-    /// (frames must already be reserved).
-    fn submit_blocks(&mut self, run: RunId, start_index: u32, count: u32) {
-        debug_assert!(count >= 1);
-        let stride = self.plan.layout.same_disk_stride();
-        for i in 0..count {
-            let index = start_index + i;
-            let (disk, start) = self.plan.layout.location(run, index);
-            let d = disk.0 as usize;
-            let tag = pack_tenant_tag(self.tenant, run.0, index);
-            let span = self.spans[d];
-            self.spans[d] += 1;
-            self.trace(EventKind::DiskIssue {
-                disk: disk.0,
-                output: false,
-                tag,
-                span,
-            });
-            self.per_disk_requests[d] += 1;
-            self.request_log[d].push((run.0, index));
-            self.head_cyl[d] = self.plan.merge.disk_spec.geometry.cylinder_of(start);
-            self.stage.push(IoRequest {
-                req: DiskRequest {
-                    disk,
-                    start,
-                    len: 1,
-                    sequential_hint: i >= stride,
-                    tag,
-                },
-                span,
-                submitted: self.epoch,
-            });
-        }
-        let progress = &mut self.runs[run.0 as usize];
-        progress.next_fetch += count;
-        debug_assert!(progress.next_fetch <= progress.total);
-        if progress.next_fetch == progress.total {
-            if let Some(home) = self.plan.layout.home_disk(run) {
-                self.remove_fetchable(run, home);
-            }
-        }
-    }
-
-    fn remove_fetchable(&mut self, run: RunId, disk: DiskId) {
-        let list = &mut self.fetchable[disk.0 as usize];
-        let pos = self.fetchable_pos[run.0 as usize];
-        debug_assert_ne!(pos, DEAD);
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.fetchable_pos[moved.0 as usize] = pos;
-        }
-        self.fetchable_pos[run.0 as usize] = DEAD;
-    }
-
-    /// Waits out the gate the last issue set (if any), then returns once
-    /// the arrivals the simulator would wait for have been processed.
-    fn wait_gate(&mut self) -> Result<(), PmError> {
-        match self.gate.take() {
-            None => {}
-            Some(Gate::SyncOp { remaining }) => {
-                for _ in 0..remaining {
-                    self.await_arrival()?;
-                }
-            }
-            Some(Gate::Block { run }) => {
-                while self.await_arrival()? != run {}
-            }
-        }
-        Ok(())
-    }
-
     /// Hands back run `j`'s next block, waiting for its arrival if
     /// needed (striped layouts deliver a run's blocks out of index
     /// order, so this can wait past the gate).
     fn take_block(&mut self, j: RunId) -> Result<Vec<Record>, PmError> {
         let r = j.0 as usize;
-        debug_assert_eq!(self.slot_base[r], self.runs[r].depleted);
         loop {
             if let Some(block) = self.slots[r].front_mut().and_then(Option::take) {
                 self.slots[r].pop_front();
@@ -1107,9 +768,9 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     }
 
     /// Takes the next completion (reaping a batch from the queue when
-    /// none is pending) and processes it; returns the run whose block
-    /// arrived.
-    fn await_arrival(&mut self) -> Result<RunId, PmError> {
+    /// none is pending), processes it and reports it to the driver;
+    /// returns whether it opened the driver's gate.
+    fn await_arrival(&mut self) -> Result<bool, PmError> {
         let completion = match self.pending.pop_front() {
             Some(c) => c,
             None => {
@@ -1133,17 +794,19 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         if M::ENABLED {
             self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
         }
-        let data = completion
-            .data
-            .map_err(|e| PmError::device(self.backend, format!("read run {run} block {index}"), e))?;
+        let data = completion.data.map_err(|e| {
+            PmError::device(self.backend, format!("read run {run} block {index}"), e)
+        })?;
         let started = SimTime::ZERO + SimDuration::from_nanos(completion.started_ns);
         let finished = SimTime::ZERO + SimDuration::from_nanos(completion.finished_ns);
         if M::ENABLED {
             const NANOS_PER_SEC: f64 = 1e9;
-            let wait = completion.started_ns.saturating_sub(completion.submitted_ns) as f64
+            let wait = completion
+                .started_ns
+                .saturating_sub(completion.submitted_ns) as f64
                 / NANOS_PER_SEC;
-            let service = completion.finished_ns.saturating_sub(completion.started_ns) as f64
-                / NANOS_PER_SEC;
+            let service =
+                completion.finished_ns.saturating_sub(completion.started_ns) as f64 / NANOS_PER_SEC;
             self.metrics
                 .disk_io(d, self.plan.block_bytes() as u64, wait, service);
             // Dedicated runs carry tenant 0; a sink built without tenants
@@ -1195,7 +858,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         let count = self.records_in_block(run, index);
         let mut records = self.spare.pop().unwrap_or_default();
         decode_into(&data, count, &mut records);
-        self.cache.block_arrived(RunId(run));
+        let opened = self.driver.arrived(RunId(run));
         let slot = (index - self.slot_base[run as usize]) as usize;
         let ring = &mut self.slots[run as usize];
         if ring.len() <= slot {
@@ -1206,7 +869,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             "block {index} of run {run} arrived twice"
         );
         ring[slot] = Some(records);
-        Ok(RunId(run))
+        Ok(opened)
     }
 
     fn records_in_block(&self, run: u32, index: u32) -> usize {

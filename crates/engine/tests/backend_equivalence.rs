@@ -11,67 +11,12 @@
 
 mod common;
 
-use pm_core::{AdmissionPolicy, DataLayout, MergeConfig, PrefetchChoice, ScenarioBuilder};
+use pm_core::ScenarioBuilder;
 
 use common::{
     assert_sorted_output, engine_custom, engine_for, form_runs, run_file, run_file_direct,
-    run_memory, run_memory_traced, RPB_ALIGNED,
+    run_memory, run_memory_traced, scenarios, RPB_ALIGNED,
 };
-
-/// The scenario matrix: strategy × admission × choice × layout × sync
-/// coverage, all small enough to execute in-memory in milliseconds.
-fn scenarios() -> Vec<(&'static str, MergeConfig)> {
-    vec![
-        (
-            "no-prefetch",
-            ScenarioBuilder::new(8, 2).cache_blocks(16).seed(11).build().unwrap(),
-        ),
-        (
-            "intra-sync",
-            ScenarioBuilder::new(8, 2)
-                .intra(4)
-                .synchronized()
-                .cache_blocks(64)
-                .seed(12)
-                .build()
-                .unwrap(),
-        ),
-        (
-            "inter-random",
-            ScenarioBuilder::new(8, 3).inter(4).seed(13).build().unwrap(),
-        ),
-        (
-            "inter-greedy-least-held",
-            ScenarioBuilder::new(8, 3)
-                .inter(4)
-                .admission(AdmissionPolicy::Greedy)
-                .prefetch_choice(PrefetchChoice::LeastHeld)
-                .per_run_cap(Some(12))
-                .seed(14)
-                .build()
-                .unwrap(),
-        ),
-        (
-            "adaptive",
-            ScenarioBuilder::new(8, 2)
-                .adaptive(1, 8)
-                .cache_blocks(96)
-                .seed(15)
-                .build()
-                .unwrap(),
-        ),
-        (
-            "intra-striped",
-            ScenarioBuilder::new(8, 2)
-                .intra(4)
-                .layout(DataLayout::Striped)
-                .cache_blocks(64)
-                .seed(16)
-                .build()
-                .unwrap(),
-        ),
-    ]
-}
 
 #[test]
 fn memory_and_file_backends_agree_across_jobs() {

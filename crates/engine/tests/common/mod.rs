@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use pm_core::MergeConfig;
+use pm_core::{AdmissionPolicy, DataLayout, MergeConfig, PrefetchChoice, ScenarioBuilder};
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, ThreadedQueue};
 use pm_extsort::{generate, run_formation, Record};
 use pm_metrics::NullMetrics;
@@ -17,6 +17,85 @@ pub const RPB: u32 = 20;
 /// Records per block for `O_DIRECT` backends (32 × 16 B = 512 B, the
 /// direct-I/O alignment unit).
 pub const RPB_ALIGNED: u32 = 32;
+
+/// The scenario matrix the backend-equivalence and simulator-parity
+/// tests share: strategy × admission × choice × layout × sync × cap
+/// coverage, all small enough to execute in-memory in milliseconds.
+pub fn scenarios() -> Vec<(&'static str, MergeConfig)> {
+    vec![
+        (
+            "no-prefetch",
+            ScenarioBuilder::new(8, 2).cache_blocks(16).seed(11).build().unwrap(),
+        ),
+        (
+            "intra-sync",
+            ScenarioBuilder::new(8, 2)
+                .intra(4)
+                .synchronized()
+                .cache_blocks(64)
+                .seed(12)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "inter-random",
+            ScenarioBuilder::new(8, 3).inter(4).seed(13).build().unwrap(),
+        ),
+        (
+            "inter-greedy-least-held",
+            ScenarioBuilder::new(8, 3)
+                .inter(4)
+                .admission(AdmissionPolicy::Greedy)
+                .prefetch_choice(PrefetchChoice::LeastHeld)
+                .per_run_cap(Some(12))
+                .seed(14)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "adaptive",
+            ScenarioBuilder::new(8, 2)
+                .adaptive(1, 8)
+                .cache_blocks(96)
+                .seed(15)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "intra-striped",
+            ScenarioBuilder::new(8, 2)
+                .intra(4)
+                .layout(DataLayout::Striped)
+                .cache_blocks(64)
+                .seed(16)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "inter-sync",
+            ScenarioBuilder::new(8, 3)
+                .inter(4)
+                .synchronized()
+                .admission(AdmissionPolicy::Greedy)
+                .seed(17)
+                .build()
+                .unwrap(),
+        ),
+        (
+            HEAD_PROXIMITY,
+            ScenarioBuilder::new(8, 3)
+                .inter(4)
+                .prefetch_choice(PrefetchChoice::HeadProximity)
+                .seed(18)
+                .build()
+                .unwrap(),
+        ),
+    ]
+}
+
+/// The [`scenarios`] case choosing prefetch targets by head proximity,
+/// whose head input differs between the engine and the simulator.
+pub const HEAD_PROXIMITY: &str = "inter-head-proximity";
 
 /// Generates `total` uniform records and forms sorted runs of up to
 /// `memory` records each (the pm-extsort run-formation path the real
